@@ -20,18 +20,15 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional, Sequence
 
-import sympy
-
 from . import linalg
 from .curvature import (CurvatureTensor, bianchi_dim_positive, build_rc,
-                        invariant_ricci_family, ricci_span_contains)
+                        case_weights, invariant_ricci_family,
+                        ricci_span_contains)
 from .exterior import (DIM, E, MultiVector, contract, evaluate, form,
                        to_coords, wedge)
 from .liealg import algebra, bracket, express, in_span, mat
-from .scalars import Scalar, ScalarLike, rational
+from .scalars import ONE, SQRT3, ZERO, Scalar, ScalarLike, rational
 from .structure import FAMILIES, ricci_solver
-
-_ZERO = Scalar(0)
 
 
 # ---------------------------------------------------------------------------
@@ -390,9 +387,65 @@ def admissible_pairs() -> dict[str, dict[str, list[str]]]:
 # ---------------------------------------------------------------------------
 # exact eliminations
 
-def _expect_zero(expr) -> None:
-    if sympy.expand(expr) != 0:
-        raise AssertionError(f"elimination identity failed: {expr}")
+class _Poly:
+    """Polynomial over Q(sqrt3, sqrt5): sorted variable tuple -> coefficient.
+
+    Zero terms are dropped, so a polynomial is zero exactly when it has
+    no terms.  The ring operations are all a family's closed form uses,
+    which lets the eliminations evaluate it at polynomial arguments.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict[tuple[str, ...], Scalar]) -> None:
+        self.terms = {m: c for m, c in terms.items() if not c.is_zero}
+
+    @staticmethod
+    def lift(x) -> _Poly:
+        return x if isinstance(x, _Poly) else _Poly({(): Scalar.coerce(x)})
+
+    def __add__(self, other) -> _Poly:
+        out = dict(self.terms)
+        for m, c in _Poly.lift(other).terms.items():
+            out[m] = out.get(m, ZERO) + c
+        return _Poly(out)
+
+    def __mul__(self, other) -> _Poly:
+        out: dict[tuple[str, ...], Scalar] = {}
+        rhs = _Poly.lift(other).terms
+        for m, c in self.terms.items():
+            for n, d in rhs.items():
+                key = tuple(sorted(m + n))
+                out[key] = out.get(key, ZERO) + c * d
+        return _Poly(out)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __neg__(self) -> _Poly:
+        return self * -1
+
+    def __sub__(self, other) -> _Poly:
+        return self + -_Poly.lift(other)
+
+    def __rsub__(self, other) -> _Poly:
+        return -self + other
+
+
+def _var(name: str) -> _Poly:
+    return _Poly({(name,): ONE})
+
+
+def _weights_at(fam_id: str, case: str, **sub) -> tuple[_Poly, _Poly, _Poly]:
+    """(r1, r2, kappa) of a case from the closed form of its family, with
+    every parameter its own variable unless sub replaces it."""
+    fam = FAMILIES[fam_id]
+    diag = fam.closed_form({p: _Poly.lift(sub.get(p, _var(p))) for p in fam.params})
+    return (*case_weights(case, diag), diag[4])
+
+
+def _expect_zero(p: _Poly) -> None:
+    if p.terms:
+        raise AssertionError(f"elimination identity failed: {p.terms}")
 
 
 @lru_cache(maxsize=None)
@@ -406,41 +459,37 @@ def two_weight_vanishing_locus(fam_id: str) -> tuple[dict, ...]:
     invariance algebra jumps, so an all-excluded result rules the full
     torus holonomy out.
     """
-    a1, a2, b1 = sympy.symbols("a1 a2 b1", real=True)
-    out = []
-    if fam_id == "5.3-I":
-        lam = 6 * a1**2 + (a2 + b1) * (6 * a2 - b1)
-        kap = 10 * a1**2 + 2 * (a2 + b1) * (5 * a2 - 2 * b1)
-        # r1 = r2 = 0 is lam = kap = 0; the combination below factors
-        _expect_zero(5 * lam - 3 * kap - 7 * b1 * (a2 + b1))
-        # branch b1 = 0: lam collapses to a real sum of squares
-        _expect_zero(lam.subs(b1, 0) - 6 * (a1**2 + a2**2))
-        out.append({"family": fam_id,
-                    "solution": {"a1": "0", "a2": "0", "b1": "0"},
-                    "excluded": True,
-                    "note": "with b1 = 0 the system forces a1 = a2 = 0, so T = 0"})
-        # branch a2 = -b1: lam collapses to 6 a1^2, so a1 = 0
-        _expect_zero(lam.subs(a2, -b1) - 6 * a1**2)
-        _expect_zero(kap.subs([(a2, -b1), (a1, 0)]))
-        out.append({"family": fam_id,
-                    "solution": {"a1": "0", "a2": "-b1"},
-                    "excluded": True,
-                    "note": "the invariance algebra jumps at a1 = 0, b1 = -a2"})
-    elif fam_id == "5.3-II":
-        sq = a1**2 + a2**2
-        lam = sympy.Rational(45, 4) * sq - 2 * a2 * b1 - b1**2
-        kap = sympy.Rational(33, 4) * sq - 8 * a2 * b1 - 4 * b1**2
-        # kap - 4 lam eliminates the mixed terms entirely
-        _expect_zero(kap - 4 * lam + sympy.Rational(147, 4) * sq)
-        out.append({"family": fam_id,
-                    "solution": {"a1": "0", "a2": "0", "b1": "0"},
-                    "excluded": True,
-                    "note": "147/4 (a1^2 + a2^2) = 0 forces a1 = a2 = 0, "
-                            "then lam = -b1^2 forces b1 = 0, so T = 0"})
-        _expect_zero(lam.subs([(a1, 0), (a2, 0)]) + b1**2)
-    else:
+    if fam_id not in ("5.3-I", "5.3-II"):
         raise KeyError(f"no torus family {fam_id!r}")
-    return tuple(out)
+    case = "5.3.1" + fam_id[3:]
+    a1, a2, b1 = map(_var, ("a1", "a2", "b1"))
+    r1, r2, _ = _weights_at(fam_id, case)
+    squares = a1 * a1 + a2 * a2
+    if fam_id == "5.3-II":
+        # r1 has no mixed terms: 147/16 (a1^2 + a2^2) = 0 forces
+        # a1 = a2 = 0, and there r2 = b1^2 (lam = -b1^2)
+        _expect_zero(r1 + rational(147, 16) * squares)
+        _expect_zero(_weights_at(fam_id, case, a1=0, a2=0)[1] - b1 * b1)
+        return ({"family": fam_id,
+                 "solution": {"a1": "0", "a2": "0", "b1": "0"},
+                 "excluded": True,
+                 "note": "147/4 (a1^2 + a2^2) = 0 forces a1 = a2 = 0, "
+                         "then lam = -b1^2 forces b1 = 0, so T = 0"},)
+    # the combination below factors, so b1 = 0 or a2 = -b1
+    _expect_zero(7 * r2 - 5 * r1 - 7 * b1 * (a2 + b1))
+    # branch b1 = 0: r1 collapses to a negative sum of squares
+    _expect_zero(_weights_at(fam_id, case, b1=0)[0] + rational(7, 2) * squares)
+    # branch a2 = -b1: r1 collapses to -7/2 a1^2, so a1 = 0, and r2 follows
+    _expect_zero(_weights_at(fam_id, case, a2=-b1)[0] + rational(7, 2) * a1 * a1)
+    _expect_zero(_weights_at(fam_id, case, a1=0, a2=-b1)[1])
+    return ({"family": fam_id,
+             "solution": {"a1": "0", "a2": "0", "b1": "0"},
+             "excluded": True,
+             "note": "with b1 = 0 the system forces a1 = a2 = 0, so T = 0"},
+            {"family": fam_id,
+             "solution": {"a1": "0", "a2": "-b1"},
+             "excluded": True,
+             "note": "the invariance algebra jumps at a1 = 0, b1 = -a2"})
 
 
 @lru_cache(maxsize=1)
@@ -452,17 +501,19 @@ def flat_operator_locus() -> tuple[dict, ...]:
     branching follows the factorization of kappa, with each reduction
     re-verified.
     """
-    a1, b1, b2 = sympy.symbols("a1 b1 b2", real=True)
-    lam = 3 * (a1 + b1) * (4 * a1 - 3 * b1) - b2**2
-    kap = 4 * (a1 + b1) * (3 * a1 - 4 * b1)
-    r1 = sympy.Rational(3, 8) * kap - lam
+    a1, b1, b2 = map(_var, ("a1", "b1", "b2"))
+    # kappa factors, so kappa = 0 splits into a1 = -b1 and 3 a1 = 4 b1
+    _expect_zero(_weights_at("5.1", "5.1.1")[2] - 4 * (a1 + b1) * (3 * a1 - 4 * b1))
     # branch a1 = -b1: r1 reduces to b2^2
-    _expect_zero(r1.subs(a1, -b1) - b2**2)
-    # branch 3 a1 = 4 b1: r1 reduces to b2^2 - 49/3 b1^2
-    _expect_zero(r1.subs(a1, sympy.Rational(4, 3) * b1)
-                 - (b2**2 - sympy.Rational(49, 3) * b1**2))
-    root = 7 * sympy.sqrt(3) / 3
-    _expect_zero((root * b1)**2 - sympy.Rational(49, 3) * b1**2)
+    _expect_zero(_weights_at("5.1", "5.1.1", a1=-b1)[0] - b2 * b2)
+    # branch 3 a1 = 4 b1: r1 reduces to b2^2 - 49/3 b1^2, which vanishes
+    # at b2 = +-7 sqrt3/3 b1
+    a1_root = rational(4, 3) * b1
+    _expect_zero(_weights_at("5.1", "5.1.1", a1=a1_root)[0]
+                 - (b2 * b2 - rational(49, 3) * b1 * b1))
+    for sign in (1, -1):
+        b2_root = sign * 7 * SQRT3 / 3 * b1
+        _expect_zero(_weights_at("5.1", "5.1.1", a1=a1_root, b2=b2_root)[0])
     return (
         {"a1": "-b1", "b2": "0"},
         {"a1": "4*b1/3", "b2": "7*sqrt(3)*b1/3"},
@@ -504,7 +555,7 @@ class ReconstructedAlgebra:
                 c = xi * yj
                 for m, v in row.items():
                     term = c * v if sign == 1 else -(c * v)
-                    nv = out.get(m, _ZERO) + term
+                    nv = out.get(m, ZERO) + term
                     if nv.is_zero:
                         out.pop(m, None)
                     else:
@@ -512,7 +563,7 @@ class ReconstructedAlgebra:
         return out
 
     def adjoint(self, i: int) -> list[list[Scalar]]:
-        m = [[_ZERO] * self.dim for _ in range(self.dim)]
+        m = [[ZERO] * self.dim for _ in range(self.dim)]
         for j in range(self.dim):
             for r, v in self.bracket_vec({i: Scalar(1)}, {j: Scalar(1)}).items():
                 m[r][j] = v
@@ -522,7 +573,7 @@ class ReconstructedAlgebra:
         ads = [self.adjoint(i) for i in range(self.dim)]
 
         def tr(p, q):
-            tot = _ZERO
+            tot = ZERO
             for r in range(self.dim):
                 for c in range(self.dim):
                     tot = tot + p[r][c] * q[c][r]
@@ -571,7 +622,7 @@ def reconstruct_lie_algebra(t: MultiVector, r: Optional[CurvatureTensor],
             return
         if d not in pos:
             raise ValueError(f"bracket leaves the chosen directions at e{d}")
-        co[nh + pos[d]] = co.get(nh + pos[d], _ZERO) + c
+        co[nh + pos[d]] = co.get(nh + pos[d], ZERO) + c
 
     structure: dict[tuple[int, int], dict[int, Scalar]] = {}
 
@@ -600,7 +651,7 @@ def reconstruct_lie_algebra(t: MultiVector, r: Optional[CurvatureTensor],
                 vec_entry(z, -evaluate(t, [E[x], E[y], E[z]]), co)
             put(nh + pos[x], nh + pos[y], co)
 
-    metric = [[Scalar(1) if i == j else _ZERO for j in range(nv)]
+    metric = [[Scalar(1) if i == j else ZERO for j in range(nv)]
               for i in range(nv)]
     alg = ReconstructedAlgebra(n, labels, structure, metric, True)
     failures = []
@@ -611,7 +662,7 @@ def reconstruct_lie_algebra(t: MultiVector, r: Optional[CurvatureTensor],
                 for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
                     inner_br = alg.bracket_vec({a: Scalar(1)}, {b: Scalar(1)})
                     for m, v in alg.bracket_vec(inner_br, {c: Scalar(1)}).items():
-                        nv = tot.get(m, _ZERO) + v
+                        nv = tot.get(m, ZERO) + v
                         if nv.is_zero:
                             tot.pop(m, None)
                         else:
@@ -637,7 +688,7 @@ def _projector(basis: list[MultiVector]) -> list[list[Scalar]]:
     """Orthogonal projection onto the span of the given 1-forms."""
     k = len(basis)
     coords = [[b.coeff((i,)) for i in range(1, DIM + 1)] for b in basis]
-    gram = [[sum((coords[a][i] * coords[b][i] for i in range(DIM)), _ZERO)
+    gram = [[sum((coords[a][i] * coords[b][i] for i in range(DIM)), ZERO)
              for b in range(k)] for a in range(k)]
     rows = [{j: gram[i][j] for j in range(k) if not gram[i][j].is_zero}
             for i in range(k)]
@@ -645,10 +696,10 @@ def _projector(basis: list[MultiVector]) -> list[list[Scalar]]:
         raise ValueError("basis vectors are linearly dependent")
     inv_cols = []
     for c in range(k):
-        rhs = [Scalar(1) if i == c else _ZERO for i in range(k)]
+        rhs = [Scalar(1) if i == c else ZERO for i in range(k)]
         sol = linalg.solve(rows, rhs)
-        inv_cols.append([sol.get(i, _ZERO) for i in range(k)])
-    out = [[_ZERO] * DIM for _ in range(DIM)]
+        inv_cols.append([sol.get(i, ZERO) for i in range(k)])
+    out = [[ZERO] * DIM for _ in range(DIM)]
     for a in range(k):
         for b in range(k):
             w = inv_cols[b][a]
@@ -696,7 +747,7 @@ def splitting_check(t: MultiVector, plus: list[MultiVector],
     for p in plus:
         for m in minus:
             dot = sum((p.coeff((i,)) * m.coeff((i,)) for i in range(1, DIM + 1)),
-                      _ZERO)
+                      ZERO)
             if not dot.is_zero:
                 raise ValueError("the two spans must be orthogonal")
 

@@ -22,9 +22,8 @@ from pathlib import Path
 import jsonschema
 
 from .classify import admissible_pairs, reconstruct_lie_algebra
-from .curvature import CASE_HOLONOMY, build_rc, cyclic_residue
-from .exterior import (FormSyntaxError, _format_coeff, format_form,
-                       parse_form)
+from .curvature import CASE_HOLONOMY, build_rc, case_family, cyclic_residue
+from .exterior import FormSyntaxError, _format_coeff, form, format_form
 from .liealg import algebra, invariant_forms, invariant_spinors, iso_algebra
 from .scalars import SQRT3, Scalar, rational
 from .structure import FAMILIES, diagonal, is_diagonal, ricci_solver
@@ -172,24 +171,12 @@ def _cmd_ricci(ns) -> tuple:
     return not diff, payload, diff, None
 
 
-def _case_torsion(case: str, params: dict[str, Scalar]):
-    if case in ("5.1.1", "5.1.2"):
-        fam_id = "5.1"
-    elif case in ("5.2.1", "5.2.2"):
-        fam_id = "5.2-II" if "a2" in params else "5.2-I"
-    elif case == "5.3.1-I":
-        fam_id = "5.3-I"
-    else:
-        fam_id = "5.3-II"
-    return FAMILIES[fam_id].torsion(params)
-
-
 def _cmd_curvature(ns) -> tuple:
     case = _match_key(ns.case, list(CASE_HOLONOMY), "case")
     params = _parse_set(ns.set)
     try:
         rc = build_rc(case, params)
-        t = _case_torsion(case, params)
+        t = case_family(case, params).torsion(params)
     except (KeyError, ValueError) as exc:
         raise UsageError(f"case {case}: {exc}") from None
     h = algebra(CASE_HOLONOMY[case])
@@ -252,7 +239,7 @@ def _cmd_reconstruct(ns) -> tuple:
 
 def _cmd_iso(ns) -> tuple:
     try:
-        a = parse_form(ns.form)
+        a = form(ns.form)
     except FormSyntaxError as exc:
         raise UsageError(f"--form: {exc}") from None
     name, basis = iso_algebra(a)

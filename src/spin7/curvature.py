@@ -21,10 +21,8 @@ from . import linalg
 from .exterior import (DIM, E, MultiVector, evaluate, inner, monomials,
                        sigma_t, to_coords, wedge)
 from .liealg import SPIN7_BASIS, act_on_form, algebra, in_span
-from .scalars import Scalar, ScalarLike, SQRT15, rational
-from .structure import FAMILIES, Params
-
-_ZERO = Scalar(0)
+from .scalars import ZERO, Scalar, ScalarLike, SQRT15, rational
+from .structure import FAMILIES, Params, TorsionFamily
 
 Dyad = tuple[Scalar, MultiVector, MultiVector]
 
@@ -48,7 +46,7 @@ class CurvatureTensor:
     def entry(self, i: int, j: int, k: int, l: int) -> Scalar:
         """The 4-tensor value on basis vectors, R(e_i, e_j, e_k, e_l)."""
         if i == j or k == l:
-            return _ZERO
+            return ZERO
         sgn = 1
         if i > j:
             i, j, sgn = j, i, -sgn
@@ -62,7 +60,7 @@ class CurvatureTensor:
         grade2 = monomials(2)
         cols = [to_coords(self.apply(MultiVector.monomial(m)), 2) for m in grade2]
         n = len(grade2)
-        return [[cols[a].get(b, _ZERO) for a in range(n)] for b in range(n)]
+        return [[cols[a].get(b, ZERO) for a in range(n)] for b in range(n)]
 
     def is_symmetric(self) -> bool:
         m = self.matrix()
@@ -89,10 +87,10 @@ class CurvatureTensor:
 
     def ricci(self) -> list[list[Scalar]]:
         """Ric(X, Y) = sum_i R(e_i, X, Y, e_i)."""
-        out = [[_ZERO] * DIM for _ in range(DIM)]
+        out = [[ZERO] * DIM for _ in range(DIM)]
         for x in range(1, DIM + 1):
             for y in range(x, DIM + 1):
-                tot = _ZERO
+                tot = ZERO
                 for i in range(1, DIM + 1):
                     tot = tot + self.entry(i, x, y, i)
                 out[x - 1][y - 1] = tot
@@ -162,6 +160,31 @@ def vanishing_constraints(case: str, h: list[MultiVector]) -> tuple[bool, bool]:
     return (not keep_r1, not keep_r2)
 
 
+_CASE_FAMILY = {"5.1.1": "5.1", "5.1.2": "5.1", "5.2.1": "5.2", "5.2.2": "5.2",
+                "5.3.1-I": "5.3-I", "5.3.1-II": "5.3-II"}
+
+
+def case_family(case: str, assignment: Params) -> TorsionFamily:
+    """The torsion family of a case; the 5.2 cases take family 5.2-II
+    when the assignment sets a2 and 5.2-I otherwise."""
+    if case not in _CASE_FAMILY:
+        raise KeyError(f"unknown curvature case {case!r}")
+    fam_id = _CASE_FAMILY[case]
+    if fam_id == "5.2":
+        fam_id = "5.2-II" if "a2" in assignment else "5.2-I"
+    return FAMILIES[fam_id]
+
+
+def case_weights(case: str, diag: list) -> tuple:
+    """The weights (r1, r2) of a two-weight case from the Ricci diagonal
+    of its family (lambda first, kappa fifth); the entries may be
+    Scalars or anything else that adds and multiplies with them."""
+    c1, c2 = ((rational(3, 8), rational(-1, 8)) if case == "5.1.1"
+              else (rational(1, 4), rational(-1, 4)))
+    lam, kap = diag[0], diag[4]
+    return c1 * kap - lam, c2 * kap
+
+
 def build_rc(case: str, assignment: Params) -> CurvatureTensor:
     """Closed-form curvature operator for a classification subcase.
 
@@ -171,15 +194,10 @@ def build_rc(case: str, assignment: Params) -> CurvatureTensor:
     """
     p = SPIN7_BASIS
     ta, tb = _two_torus()
-    if case == "5.1.1":
-        fam = FAMILIES["5.1"]
-        diag = fam.ricci_diag(assignment)
-        lam, kap = diag[0], diag[4]
-        r1 = rational(3, 8) * kap - lam
-        r2 = rational(-1, 8) * kap
-        return case_operator(case, r1, r2)
+    fam = case_family(case, assignment)
+    if case in ("5.1.1", "5.3.1-I", "5.3.1-II"):
+        return case_operator(case, *case_weights(case, fam.ricci_diag(assignment)))
     if case == "5.1.2":
-        fam = FAMILIES["5.1"]
         vals = fam.values(assignment)
         if not (vals["b1"].is_zero and vals["b2"].is_zero):
             raise ValueError("the irreducible so(3) case needs b1 = b2 = 0")
@@ -201,7 +219,6 @@ def build_rc(case: str, assignment: Params) -> CurvatureTensor:
             dyad(w, p[6] + 3 * p[7]),
         ])
     if case == "5.2.1":
-        fam = FAMILIES["5.2-II" if "a2" in assignment else "5.2-I"]
         lam = fam.ricci_diag(assignment)[0]
         w = -lam * rational(1, 2)
         return CurvatureTensor([
@@ -209,22 +226,12 @@ def build_rc(case: str, assignment: Params) -> CurvatureTensor:
             dyad(w * rational(1, 2), p[1] + p[5]),
             dyad(w, p[6] + p[7]),
         ])
-    if case == "5.2.2":
-        fam = FAMILIES["5.2-II" if "a2" in assignment else "5.2-I"]
-        lam = fam.ricci_diag(assignment)[0]
-        w = -lam * rational(1, 4)
-        return CurvatureTensor([
-            dyad(3 * w, ta),
-            dyad(w, tb),
-        ])
-    if case in ("5.3.1-I", "5.3.1-II"):
-        fam = FAMILIES["5.3-I" if case.endswith("-I") else "5.3-II"]
-        diag = fam.ricci_diag(assignment)
-        lam, kap = diag[0], diag[4]
-        r1 = rational(1, 4) * kap - lam
-        r2 = rational(-1, 4) * kap
-        return case_operator(case, r1, r2)
-    raise KeyError(f"unknown curvature case {case!r}")
+    lam = fam.ricci_diag(assignment)[0]
+    w = -lam * rational(1, 4)
+    return CurvatureTensor([
+        dyad(3 * w, ta),
+        dyad(w, tb),
+    ])
 
 
 # the largest holonomy algebra each case serves; the operator is
@@ -265,8 +272,8 @@ def bianchi_space(h: list[MultiVector], symmetric: bool = True) -> list[Curvatur
     def pair_coeff(a: int, k: int, v: int) -> Scalar:
         # <h_a, e_k ^ e_v> for k != v
         if k < v:
-            return hcoords[a].get(mono_index[(k, v)], _ZERO)
-        return -hcoords[a].get(mono_index[(v, k)], _ZERO)
+            return hcoords[a].get(mono_index[(k, v)], ZERO)
+        return -hcoords[a].get(mono_index[(v, k)], ZERO)
 
     rows: list[linalg.Row] = []
     for i in range(1, DIM + 1):
@@ -287,7 +294,7 @@ def bianchi_space(h: list[MultiVector], symmetric: bool = True) -> list[Curvatur
                             if not c.is_zero:
                                 cc = c if sgn == 1 else -c
                                 key = col(m, a)
-                                nv = row.get(key, _ZERO) + cc
+                                nv = row.get(key, ZERO) + cc
                                 if nv.is_zero:
                                     row.pop(key, None)
                                 else:
@@ -308,7 +315,7 @@ def bianchi_space(h: list[MultiVector], symmetric: bool = True) -> list[Curvatur
                     c2 = pair_coeff(a, k, l)
                     if not c2.is_zero:
                         key = col(n, a)
-                        nv = row.get(key, _ZERO) - c2
+                        nv = row.get(key, ZERO) - c2
                         if nv.is_zero:
                             row.pop(key, None)
                         else:
@@ -367,13 +374,13 @@ def invariant_ricci_family(h: list[MultiVector]) -> list[list[list[Scalar]]]:
         for n in range(m + 1, nmon):
             row: linalg.Row = {}
             for a in range(nh):
-                c = hcoords[a].get(n, _ZERO)
+                c = hcoords[a].get(n, ZERO)
                 if not c.is_zero:
                     row[m * nh + a] = c
-                c2 = hcoords[a].get(m, _ZERO)
+                c2 = hcoords[a].get(m, ZERO)
                 if not c2.is_zero:
                     key = n * nh + a
-                    nv = row.get(key, _ZERO) - c2
+                    nv = row.get(key, ZERO) - c2
                     if nv.is_zero:
                         row.pop(key, None)
                     else:
@@ -396,7 +403,7 @@ def invariant_ricci_family(h: list[MultiVector]) -> list[list[list[Scalar]]]:
                     for slot, v in ha.items():
                         r = per_slot.setdefault(slot, {})
                         key = n * nh + a
-                        nv = r.get(key, _ZERO) - c * v
+                        nv = r.get(key, ZERO) - c * v
                         if nv.is_zero:
                             r.pop(key, None)
                         else:

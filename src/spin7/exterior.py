@@ -279,10 +279,6 @@ def from_coords(row: dict[int, Scalar], grade: int) -> MultiVector:
     return MultiVector({basis[i]: v for i, v in row.items()})
 
 
-def form(text: str) -> MultiVector:
-    return parse_form(text)
-
-
 # ---------------------------------------------------------------------------
 # string round-trip
 
@@ -325,7 +321,7 @@ class FormSyntaxError(ValueError):
         self.offset = offset
 
 
-def parse_form(text: str) -> MultiVector:
+def form(text: str) -> MultiVector:
     """Parse '1/2*e_12 - sqrt3*e_34 + (1 + sqrt5)*e_56 + 2'."""
     total = MultiVector()
     for sign, term, start in _split_terms(text):

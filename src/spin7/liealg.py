@@ -20,16 +20,14 @@ from . import linalg
 from .clifford import (N_SPIN, Spinor, act, basis_spinor, spinor_eq)
 from .exterior import (DIM, MultiVector, form, from_coords, monomials,
                        to_coords)
-from .scalars import Scalar, ScalarLike, SQRT15, rational
+from .scalars import ZERO, Scalar, ScalarLike, SQRT15, rational
 
 Matrix8 = list[list[Scalar]]
-
-_ZERO = Scalar(0)
 
 
 def mat(w: MultiVector) -> Matrix8:
     """Skew matrix of a 2-form: coefficient c on e_ij lands at (j, i)."""
-    m = [[_ZERO] * DIM for _ in range(DIM)]
+    m = [[ZERO] * DIM for _ in range(DIM)]
     for (i, j), c in w.terms.items():
         m[i - 1][j - 1] = m[i - 1][j - 1] - c
         m[j - 1][i - 1] = m[j - 1][i - 1] + c
@@ -49,7 +47,7 @@ def two_form_of(m: Matrix8) -> MultiVector:
 
 
 def _matmul(a: Matrix8, b: Matrix8) -> Matrix8:
-    out = [[_ZERO] * DIM for _ in range(DIM)]
+    out = [[ZERO] * DIM for _ in range(DIM)]
     for i in range(DIM):
         ra = a[i]
         oi = out[i]
@@ -82,7 +80,7 @@ def act_on_vector(w: MultiVector, x: MultiVector) -> MultiVector:
             if v.is_zero:
                 continue
             key = (r + 1,)
-            nv = out.get(key, _ZERO) + c * v * 2
+            nv = out.get(key, ZERO) + c * v * 2
             if nv.is_zero:
                 out.pop(key, None)
             else:
@@ -107,10 +105,6 @@ def act_on_form(w: MultiVector, a: MultiVector) -> MultiVector:
     return total
 
 
-def act_on_spinor(w: MultiVector, s: Spinor) -> Spinor:
-    return act(w, s)
-
-
 def is_invariant_form(generators: list[MultiVector], a: MultiVector) -> bool:
     return all(act_on_form(w, a).is_zero for w in generators)
 
@@ -129,7 +123,7 @@ def express(target: MultiVector, basis: list[MultiVector], grade: int):
     seen = set(rows)
     seen.update(t)
     eqs = [rows.get(j, {}) for j in sorted(seen)]
-    rhs = [t.get(j, _ZERO) for j in sorted(seen)]
+    rhs = [t.get(j, ZERO) for j in sorted(seen)]
     return linalg.solve(eqs, rhs)
 
 
@@ -284,11 +278,11 @@ def killing_gram(basis: list[MultiVector]) -> list[list[Scalar]]:
             coeffs = express(bracket(basis[i], basis[j]), basis, 2)
             if coeffs is None:
                 raise ValueError("span is not closed under the bracket")
-            struct[i][j] = [coeffs.get(k, _ZERO) for k in range(n)]
-    gram = [[_ZERO] * n for _ in range(n)]
+            struct[i][j] = [coeffs.get(k, ZERO) for k in range(n)]
+    gram = [[ZERO] * n for _ in range(n)]
     for a in range(n):
         for b in range(n):
-            tot = _ZERO
+            tot = ZERO
             for j in range(n):
                 for k in range(n):
                     tot = tot + struct[a][j][k] * struct[b][k][j]
@@ -354,7 +348,7 @@ def membership_equations(w: MultiVector) -> list[Scalar]:
         c[(i, j)] = v
 
     def g(i: int, j: int) -> Scalar:
-        return c.get((i, j), _ZERO)
+        return c.get((i, j), ZERO)
 
     return [
         g(1, 8) + g(2, 7) - g(3, 6) - g(4, 5),

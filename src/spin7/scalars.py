@@ -141,6 +141,9 @@ class Scalar:
                 and self.c == o.c and self.d == o.d)
 
     def __hash__(self) -> int:
+        # a rational Scalar equals its int or Fraction, so it hashes alike
+        if self.is_rational:
+            return hash(self.a)
         return hash((self.a, self.b, self.c, self.d))
 
     def sign(self) -> int:
@@ -151,16 +154,24 @@ class Scalar:
         return _sign_sqrt5(u, v)
 
     def __lt__(self, other: ScalarLike) -> bool:
-        return (self - Scalar.coerce(other)).sign() < 0
+        if not isinstance(other, (Scalar, int, Fraction)):
+            return NotImplemented
+        return (self - other).sign() < 0
 
     def __le__(self, other: ScalarLike) -> bool:
-        return (self - Scalar.coerce(other)).sign() <= 0
+        if not isinstance(other, (Scalar, int, Fraction)):
+            return NotImplemented
+        return (self - other).sign() <= 0
 
     def __gt__(self, other: ScalarLike) -> bool:
-        return (self - Scalar.coerce(other)).sign() > 0
+        if not isinstance(other, (Scalar, int, Fraction)):
+            return NotImplemented
+        return (self - other).sign() > 0
 
     def __ge__(self, other: ScalarLike) -> bool:
-        return (self - Scalar.coerce(other)).sign() >= 0
+        if not isinstance(other, (Scalar, int, Fraction)):
+            return NotImplemented
+        return (self - other).sign() >= 0
 
     def __abs__(self) -> Scalar:
         return -self if self.sign() < 0 else self

@@ -23,9 +23,7 @@ from .clifford import (N_SPIN, Spinor, act, basis_spinor, gamma_apply,
                        spinor_eq, spinor_scale, spinor_sub)
 from .exterior import (CAYLEY, DIM, E, MultiVector, contract, evaluate, form,
                        hodge, inner, norm_sq, sigma_t, wedge)
-from .scalars import Scalar, ScalarLike, rational
-
-_ZERO = Scalar(0)
+from .scalars import ZERO, Scalar, ScalarLike, rational
 
 Params = Mapping[str, ScalarLike]
 
@@ -41,7 +39,7 @@ def _vector_type_basis() -> tuple[MultiVector, ...]:
     seven = Scalar(7)
     for i, a in enumerate(basis):
         for j, b in enumerate(basis):
-            expected = seven if i == j else _ZERO
+            expected = seven if i == j else ZERO
             if inner(a, b) != expected:
                 raise AssertionError("vector-type basis is not orthogonal")
     return basis
@@ -123,7 +121,7 @@ def _combine(cols: list[Spinor], psi: Spinor) -> Spinor:
     out: Spinor = {}
     for k, v in psi.items():
         for m, w in cols[k].items():
-            nv = out.get(m, _ZERO) + v * w
+            nv = out.get(m, ZERO) + v * w
             if nv.is_zero:
                 out.pop(m, None)
             else:
@@ -169,13 +167,6 @@ def sigma_report(t: MultiVector) -> dict:
     }
 
 
-def sigma_identity_check(t: MultiVector) -> tuple[bool, int]:
-    """Verdict of the contracted-square identity for the base spinor,
-    with the count of basis spinors also passing it."""
-    rep = sigma_report(t)
-    return rep["base_identity"], sum(rep["basis_identity"])
-
-
 def square_condition_holds(t: MultiVector, spinors: list[Spinor]) -> bool:
     """First torsion equation: t^2 psi = 7 |t_8|^2 psi on given spinors."""
     small, _ = project_8_48(t)
@@ -217,18 +208,18 @@ def ricci_solver(t: MultiVector,
             for s in sorted(slots):
                 row: linalg.Row = {}
                 for j in range(1, DIM + 1):
-                    v = gammas[j - 1].get(s, _ZERO)
+                    v = gammas[j - 1].get(s, ZERO)
                     if not v.is_zero:
                         col = col_of[(min(j, k), max(j, k))]
-                        row[col] = row.get(col, _ZERO) + Scalar(-4) * v
+                        row[col] = row.get(col, ZERO) + Scalar(-4) * v
                 rows.append(row)
-                rhs.append(target.get(s, _ZERO))
+                rhs.append(target.get(s, ZERO))
     sol = linalg.solve(rows, rhs)
     if sol is None:
         return None
-    ric = [[_ZERO] * DIM for _ in range(DIM)]
+    ric = [[ZERO] * DIM for _ in range(DIM)]
     for (i, j), n in col_of.items():
-        v = sol.get(n, _ZERO)
+        v = sol.get(n, ZERO)
         ric[i - 1][j - 1] = v
         ric[j - 1][i - 1] = v
     return ric
@@ -241,11 +232,11 @@ def ricci_g_relation(t: MultiVector, ric_c: list[list[Scalar]]) -> list[list[Sca
                for n in range(1, DIM + 1)]
               for m in range(1, DIM + 1)]
              for i in range(1, DIM + 1)]
-    out = [[_ZERO] * DIM for _ in range(DIM)]
+    out = [[ZERO] * DIM for _ in range(DIM)]
     quarter = rational(1, 4)
     for i in range(DIM):
         for j in range(DIM):
-            tot = _ZERO
+            tot = ZERO
             for m in range(DIM):
                 for n in range(DIM):
                     tot = tot + coeff[i][m][n] * coeff[j][m][n]
@@ -273,14 +264,17 @@ class TorsionFamily:
     generators pair off with params: the torsion at a parameter
     assignment is the sum of value * generator.  ricci_diag returns the
     expected diagonal of the characteristic Ricci tensor, which the
-    spinor solver must reproduce independently.
+    spinor solver must reproduce independently.  closed_form is that
+    diagonal as a function of the parameter values; it only adds and
+    multiplies them, so the exact eliminations evaluate it at
+    polynomials.
     """
 
     family_id: str
     iso_name: str
     params: tuple[str, ...]
     generators: tuple[MultiVector, ...]
-    _diag: Callable[[dict[str, Scalar]], list[Scalar]] = field(repr=False)
+    closed_form: Callable[[dict[str, Scalar]], list[Scalar]] = field(repr=False)
 
     def values(self, assignment: Params) -> dict[str, Scalar]:
         out = {}
@@ -301,32 +295,32 @@ class TorsionFamily:
         return total
 
     def ricci_diag(self, assignment: Params) -> list[Scalar]:
-        return self._diag(self.values(assignment))
+        return self.closed_form(self.values(assignment))
 
 
 def _diag_5_1(v: dict[str, Scalar]) -> list[Scalar]:
     a1, b1, b2 = v["a1"], v["b1"], v["b2"]
     lam = 3 * (a1 + b1) * (4 * a1 - 3 * b1) - b2 * b2
     kap = 4 * (a1 + b1) * (3 * a1 - 4 * b1)
-    return [lam, lam, lam, lam, kap, kap, kap, _ZERO]
+    return [lam, lam, lam, lam, kap, kap, kap, ZERO]
 
 
 def _diag_5_2_i(v: dict[str, Scalar]) -> list[Scalar]:
     lam = 2 * v["a1"] * v["a1"]
-    return [lam] * 6 + [_ZERO, _ZERO]
+    return [lam] * 6 + [ZERO, ZERO]
 
 
 def _diag_5_2_ii(v: dict[str, Scalar]) -> list[Scalar]:
     a1, a2, b1 = v["a1"], v["a2"], v["b1"]
     lam = 4 * a1 * a1 + 4 * (2 * a2 + b1) * (5 * a2 - b1)
-    return [lam] * 6 + [_ZERO, _ZERO]
+    return [lam] * 6 + [ZERO, ZERO]
 
 
 def _diag_5_3_i(v: dict[str, Scalar]) -> list[Scalar]:
     a1, a2, b1 = v["a1"], v["a2"], v["b1"]
     lam = 6 * a1 * a1 + (a2 + b1) * (6 * a2 - b1)
     kap = 10 * a1 * a1 + 2 * (a2 + b1) * (5 * a2 - 2 * b1)
-    return [lam, lam, lam, lam, kap, kap, _ZERO, _ZERO]
+    return [lam, lam, lam, lam, kap, kap, ZERO, ZERO]
 
 
 def _diag_5_3_ii(v: dict[str, Scalar]) -> list[Scalar]:
@@ -334,13 +328,13 @@ def _diag_5_3_ii(v: dict[str, Scalar]) -> list[Scalar]:
     sq = a1 * a1 + a2 * a2
     lam = rational(45, 4) * sq - 2 * a2 * b1 - b1 * b1
     kap = rational(33, 4) * sq - 8 * a2 * b1 - 4 * b1 * b1
-    return [lam, lam, lam, lam, kap, kap, _ZERO, _ZERO]
+    return [lam, lam, lam, lam, kap, kap, ZERO, ZERO]
 
 
 def _diag_5_4(v: dict[str, Scalar]) -> list[Scalar]:
     b1 = v["b1"]
     neg = -4 * b1 * b1
-    return [_ZERO, _ZERO, _ZERO, _ZERO, neg, neg, _ZERO, _ZERO]
+    return [ZERO, ZERO, ZERO, ZERO, neg, neg, ZERO, ZERO]
 
 
 # building blocks: the Kaehler-type 2-forms of the coordinate pairing

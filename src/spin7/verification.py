@@ -34,16 +34,14 @@ from .classify import (admissible_pairs, flat_operator_locus,
                        phi_from_hermitian, family_span_dims,
                        reconstruct_lie_algebra, splitting_check,
                        two_weight_vanishing_locus)
-from .liealg import (SPIN7_BASIS, act_on_spinor, act_on_vector, algebra,
+from .liealg import (SPIN7_BASIS, act_on_vector, algebra,
                      bracket, express, in_span, in_stabilizer,
                      invariant_forms, invariant_spinors, is_invariant_form,
                      is_subalgebra, membership_equations, span_dim)
-from .scalars import SQRT3, SQRT5, Scalar, rational
+from .scalars import SQRT3, SQRT5, ZERO, Scalar, rational
 from .structure import (FAMILIES, contraction_identity, diagonal,
                         is_diagonal, lee_norm_identity, ricci_solver,
-                        scal_pair, sigma_identity_check, sigma_report)
-
-_ZERO = Scalar(0)
+                        scal_pair, sigma_report)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +160,7 @@ def suite_clifford(rng: random.Random) -> SuiteReport:
                 lhs = gamma_apply(i, gamma_apply(j, s))
                 lhs = {m: v for m, v in lhs.items()}
                 for m, v in gamma_apply(j, gamma_apply(i, s)).items():
-                    nv = lhs.get(m, _ZERO) + v
+                    nv = lhs.get(m, ZERO) + v
                     if nv.is_zero:
                         lhs.pop(m, None)
                     else:
@@ -299,7 +297,7 @@ def suite_invariants(rng: random.Random) -> SuiteReport:
     diff_a = spinor_sub(basis_spinor(0), basis_spinor(1))
     diff_b = spinor_sub(basis_spinor(8), basis_spinor(9))
     rep.add("the irreducible so(3) fixes the two spinor differences",
-            all(spinor_eq(act_on_spinor(w, s), {})
+            all(spinor_eq(act(w, s), {})
                 for w in so3ir for s in (diff_a, diff_b)))
     rep.add("the irreducible so(3) fixes the eighth direction",
             all(act_on_vector(w, E[8]).is_zero for w in so3ir))
@@ -416,9 +414,9 @@ def suite_sigma(rng: random.Random) -> SuiteReport:
     counts = {}
     for fam_id, raw in _SIGMA_WITNESSES:
         t = FAMILIES[fam_id].torsion(raw)
-        ok, count = sigma_identity_check(t)
-        family_ok = family_ok and ok
-        counts[f"{fam_id}"] = max(counts.get(fam_id, 0), count)
+        sig = sigma_report(t)
+        family_ok = family_ok and sig["base_identity"]
+        counts[f"{fam_id}"] = max(counts.get(fam_id, 0), sum(sig["basis_identity"]))
     rep.add("identity holds on the base spinor for every family witness",
             family_ok)
     rep.note("basis spinors passing per family witness: "
@@ -552,7 +550,7 @@ def suite_reconstruction(rng: random.Random) -> SuiteReport:
                 row = rec2.structure.get((i, j), {})
                 for k in range(8):
                     want = evaluate(t2, [E[i + 1], E[j + 1], E[k + 1]])
-                    if -row.get(k, _ZERO) != want:
+                    if -row.get(k, ZERO) != want:
                         pairing_ok = False
         rep.add(f"centralizer {sign} bracket reproduces the 3-form through "
                 "the metric", pairing_ok)
@@ -565,7 +563,7 @@ def suite_reconstruction(rng: random.Random) -> SuiteReport:
                 all(in_span(w, algebra("su3"), 2) for w in v)
                 and span_dim(v, 2) == 8)
         rep.add(f"centralizer {sign} reference basis is orthonormal",
-                all(inner(v[a], v[b]) == (Scalar(2) if a == b else _ZERO)
+                all(inner(v[a], v[b]) == (Scalar(2) if a == b else ZERO)
                     for a in range(8) for b in range(8)))
         homo_ok = True
         for i in range(8):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from spin7.classify import (admissibility_table, admissible_pairs,
@@ -55,6 +57,25 @@ def test_flat_locus_has_the_two_sign_branch():
     assert sorted(str(b["b2"]) for b in branches) == [
         "-7*sqrt(3)*b1/3", "0", "7*sqrt(3)*b1/3"]
     assert {str(b["a1"]) for b in branches} == {"-b1", "4*b1/3"}
+
+
+@pytest.mark.parametrize("fam_id, locus, args", [
+    ("5.1", flat_operator_locus, ()),
+    ("5.3-I", two_weight_vanishing_locus, ("5.3-I",)),
+    ("5.3-II", two_weight_vanishing_locus, ("5.3-II",)),
+])
+def test_eliminations_catch_a_perturbed_closed_form(monkeypatch, fam_id, locus, args):
+    fam = FAMILIES[fam_id]
+
+    def perturbed(v):
+        # one more a1^2 in lambda, the first block of the diagonal
+        diag = fam.closed_form(v)
+        return [d + v["a1"] * v["a1"] for d in diag[:4]] + diag[4:]
+
+    monkeypatch.setitem(FAMILIES, fam_id,
+                        dataclasses.replace(fam, closed_form=perturbed))
+    with pytest.raises(AssertionError, match="elimination identity failed"):
+        locus.__wrapped__(*args)
 
 
 def test_reconstruction_requires_enough_directions():

@@ -152,3 +152,11 @@ def test_module_entry_point_usage_error():
                           capture_output=True, text=True)
     assert proc.returncode == 2
     assert "usage" in proc.stderr.lower()
+
+
+def test_cli_import_leaves_sympy_unloaded():
+    code = "import sys, spin7.cli; print('sympy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -6,7 +6,7 @@ import pytest
 from spin7.exterior import (CAYLEY, DIM, E, KAHLER, VOL, FormSyntaxError,
                             MultiVector, contract, evaluate, form,
                             format_form, from_coords, hodge, inner, monomials,
-                            norm_sq, parse_form, sigma_t, to_coords, wedge)
+                            norm_sq, sigma_t, to_coords, wedge)
 from spin7.scalars import SQRT3, Scalar, rational
 
 
@@ -98,7 +98,7 @@ def test_parse_and_format_round_trip():
                "7*e_567",
                "0"]
     for text in samples:
-        assert format_form(parse_form(text)) == text
+        assert format_form(form(text)) == text
 
 
 def test_parse_errors_carry_offsets():
@@ -109,7 +109,7 @@ def test_parse_errors_carry_offsets():
              ("", 0)]
     for text, offset in cases:
         with pytest.raises(FormSyntaxError) as err:
-            parse_form(text)
+            form(text)
         assert err.value.offset == offset
         assert f"offset {offset}" in str(err.value)
 

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
+from spin7.clifford import act
 from spin7.exterior import CAYLEY, E, form, inner
 from spin7.liealg import (CATALOG_NAMES, SPIN7_BASIS, act_on_form,
-                          act_on_spinor, act_on_vector, algebra, bracket,
+                          act_on_vector, algebra, bracket,
                           express, in_span, in_stabilizer, invariant_forms,
                           invariant_spinors, iso_algebra,
                           membership_equations, span_dim, is_subalgebra)
@@ -101,5 +102,5 @@ def test_spinor_action_annihilates_invariant_spinors():
     gens = algebra("su3")
     for s in invariant_spinors(gens):
         for w in gens:
-            assert act_on_spinor(w, s) == {}
-    assert act_on_spinor(form("e_12"), {8: Scalar(1), 9: Scalar(-1)}) != {}
+            assert act(w, s) == {}
+    assert act(form("e_12"), {8: Scalar(1), 9: Scalar(-1)}) != {}

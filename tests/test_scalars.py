@@ -55,6 +55,10 @@ def test_rational_embedding():
     assert a.is_rational and a.rational_part() == Fraction(3, 2)
     assert not SQRT3.is_rational
     assert rational(7, 3) + rational(2, 3) == Scalar(3)
+    # equal values hash alike, so ints and Fractions find rational Scalars
+    assert 1 in {Scalar(1)} and Scalar(1) in {1}
+    assert hash(a) == hash(Fraction(3, 2))
+    assert {Scalar(1), SQRT3} == {1, SQRT3}
 
 
 def test_string_round_trip():
@@ -78,3 +82,9 @@ def test_exact_sign_determination():
     assert Scalar(0).sign() == 0
     # close call: sqrt3 + sqrt5 against sqrt15 - 1/7
     assert (SQRT3 + SQRT5 - SQRT15 + rational(1, 7)).sign() > 0
+    # ordering against a foreign type defers to it, then fails as a TypeError
+    for op in ("__lt__", "__le__", "__gt__", "__ge__"):
+        assert getattr(SQRT3, op)("2") is NotImplemented
+    with pytest.raises(TypeError):
+        SQRT3 < "2"
+    assert 1 < SQRT3 < Fraction(7, 4) and SQRT3 >= SQRT3

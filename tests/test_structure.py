@@ -10,7 +10,7 @@ from spin7.scalars import Scalar, rational
 from spin7.structure import (FAMILIES, contraction_identity, diagonal,
                              is_diagonal, lee_form, lee_norm_identity,
                              project_8_48, ricci_solver, scal_pair,
-                             sigma_report, sigma_identity_check,
+                             sigma_report,
                              square_condition_holds, w_class)
 
 
@@ -70,9 +70,9 @@ def test_contracted_square_identity_equals_square_condition():
 
 def test_family_torsion_satisfies_base_identity():
     t = FAMILIES["5.2-I"].torsion({"a1": 1})
-    ok, count = sigma_identity_check(t)
-    assert ok
-    assert count == 4
+    rep = sigma_report(t)
+    assert rep["base_identity"]
+    assert sum(rep["basis_identity"]) == 4
     assert square_condition_holds(t, [BASE_SPINOR])
     assert not square_condition_holds(t, [basis_spinor(2)])
 
