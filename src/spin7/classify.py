@@ -27,7 +27,7 @@ from .curvature import (CurvatureTensor, bianchi_dim_positive, build_rc,
 from .exterior import (DIM, E, MultiVector, contract, evaluate, form,
                        to_coords, wedge)
 from .liealg import algebra, bracket, express, in_span, mat
-from .scalars import ONE, SQRT3, ZERO, Scalar, ScalarLike, rational
+from .scalars import ONE, SQRT3, ZERO, Scalar, ScalarLike, add_to, rational
 from .structure import FAMILIES, ricci_solver
 
 
@@ -407,7 +407,7 @@ class _Poly:
     def __add__(self, other) -> _Poly:
         out = dict(self.terms)
         for m, c in _Poly.lift(other).terms.items():
-            out[m] = out.get(m, ZERO) + c
+            add_to(out, m, c)
         return _Poly(out)
 
     def __mul__(self, other) -> _Poly:
@@ -415,8 +415,7 @@ class _Poly:
         rhs = _Poly.lift(other).terms
         for m, c in self.terms.items():
             for n, d in rhs.items():
-                key = tuple(sorted(m + n))
-                out[key] = out.get(key, ZERO) + c * d
+                add_to(out, tuple(sorted(m + n)), c * d)
         return _Poly(out)
 
     __radd__, __rmul__ = __add__, __mul__
@@ -554,12 +553,7 @@ class ReconstructedAlgebra:
                     continue
                 c = xi * yj
                 for m, v in row.items():
-                    term = c * v if sign == 1 else -(c * v)
-                    nv = out.get(m, ZERO) + term
-                    if nv.is_zero:
-                        out.pop(m, None)
-                    else:
-                        out[m] = nv
+                    add_to(out, m, c * v if sign == 1 else -(c * v))
         return out
 
     def adjoint(self, i: int) -> list[list[Scalar]]:
@@ -662,11 +656,7 @@ def reconstruct_lie_algebra(t: MultiVector, r: Optional[CurvatureTensor],
                 for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
                     inner_br = alg.bracket_vec({a: Scalar(1)}, {b: Scalar(1)})
                     for m, v in alg.bracket_vec(inner_br, {c: Scalar(1)}).items():
-                        nv = tot.get(m, ZERO) + v
-                        if nv.is_zero:
-                            tot.pop(m, None)
-                        else:
-                            tot[m] = nv
+                        add_to(tot, m, v)
                 if tot:
                     failures.append((i, j, k))
     alg.jacobi_ok = not failures

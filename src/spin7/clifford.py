@@ -6,6 +6,10 @@ application is index shuffling with signs and stays exact.  A k-form acts
 through the ascending product of its generators, one monomial at a time,
 with no combinatorial prefactor.
 
+A spinor is a sparse map from basis index to coefficient that stores no
+zero, so the zero spinor is the empty dict; sums go through
+`scalars.add_to`, which keeps that rule.
+
 The basis is rigged so that the Cayley 4-form acts on BASE_SPINOR with
 eigenvalue -14; that spinor generates the trivial summand under the copy
 of spin(7) singled out in the Lie-algebra module.
@@ -14,7 +18,7 @@ of spin(7) singled out in the Lie-algebra module.
 from __future__ import annotations
 
 from .exterior import DIM, MultiVector
-from .scalars import Scalar, ScalarLike
+from .scalars import Scalar, ScalarLike, add_to
 
 N_SPIN = 16
 
@@ -88,29 +92,14 @@ def act(a: MultiVector, spinor: Spinor) -> Spinor:
         for i in reversed(idx):
             part = gamma_apply(i, part)
         for k, v in part.items():
-            nv = total.get(k)
-            nv = v * coeff if nv is None else nv + v * coeff
-            if nv.is_zero:
-                total.pop(k, None)
-            else:
-                total[k] = nv
+            add_to(total, k, v * coeff)
     return total
-
-
-def matrix(a: MultiVector) -> list[Spinor]:
-    """Columns of the action of a form, column k = action on s_k."""
-    return [act(a, basis_spinor(k)) for k in range(N_SPIN)]
 
 
 def spinor_add(x: Spinor, y: Spinor) -> Spinor:
     out = dict(x)
     for k, v in y.items():
-        nv = out.get(k)
-        nv = v if nv is None else nv + v
-        if nv.is_zero:
-            out.pop(k, None)
-        else:
-            out[k] = nv
+        add_to(out, k, v)
     return out
 
 
@@ -125,26 +114,8 @@ def spinor_scale(x: Spinor, factor: ScalarLike) -> Spinor:
     return {k: v * f for k, v in x.items()}
 
 
-def spinor_inner(x: Spinor, y: Spinor) -> Scalar:
-    small, big = (x, y) if len(x) <= len(y) else (y, x)
-    total = Scalar(0)
-    for k, v in small.items():
-        w = big.get(k)
-        if w is not None:
-            total = total + v * w
-    return total
-
-
 def spinor_eq(x: Spinor, y: Spinor) -> bool:
     return spinor_sub(x, y) == {}
-
-
-def is_symmetric(cols: list[Spinor]) -> bool:
-    for j in range(N_SPIN):
-        for k, v in cols[j].items():
-            if cols[k].get(j, Scalar(0)) != v:
-                return False
-    return True
 
 
 # spinor annihilated by the distinguished spin(7) subalgebra

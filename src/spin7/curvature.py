@@ -19,9 +19,9 @@ from functools import lru_cache
 
 from . import linalg
 from .exterior import (DIM, E, MultiVector, evaluate, inner, monomials,
-                       sigma_t, to_coords, wedge)
+                       sigma_t, to_coords)
 from .liealg import SPIN7_BASIS, act_on_form, algebra, in_span
-from .scalars import ZERO, Scalar, ScalarLike, SQRT15, rational
+from .scalars import ZERO, Scalar, ScalarLike, SQRT15, add_to, rational
 from .structure import FAMILIES, Params, TorsionFamily
 
 Dyad = tuple[Scalar, MultiVector, MultiVector]
@@ -248,6 +248,36 @@ CASE_HOLONOMY = {
 
 # ---------------------------------------------------------------------------
 # spaces of algebraic curvature operators
+#
+# An operator into span(h) is the vector x with R = sum x[m * nh + a]
+# h_a <e_m, .> over the coordinate 2-forms e_m and the nh members h_a.
+
+def _symmetry_rows(hcoords: list[linalg.Row]) -> list[linalg.Row]:
+    """The rows <R(e_m), e_n> = <R(e_n), e_m> for m < n."""
+    nmon, nh = len(monomials(2)), len(hcoords)
+    rows: list[linalg.Row] = []
+    for m in range(nmon):
+        for n in range(m + 1, nmon):
+            row: linalg.Row = {}
+            for a, ha in enumerate(hcoords):
+                if n in ha:
+                    row[m * nh + a] = ha[n]
+                if m in ha:
+                    row[n * nh + a] = -ha[m]
+            if row:
+                rows.append(row)
+    return rows
+
+
+def _operator(sol: linalg.Row, h: list[MultiVector]) -> CurvatureTensor:
+    """The operator of a solution vector x."""
+    grade2 = monomials(2)
+    pieces = []
+    for key, c in sol.items():
+        m, a = divmod(key, len(h))
+        pieces.append((c, h[a], MultiVector.monomial(grade2[m])))
+    return CurvatureTensor(pieces)
+
 
 def bianchi_space(h: list[MultiVector], symmetric: bool = True) -> list[CurvatureTensor]:
     """Basis of the operators into span(h) killed by the cyclic sum.
@@ -257,16 +287,10 @@ def bianchi_space(h: list[MultiVector], symmetric: bool = True) -> list[Curvatur
     displayed definition of the space fixes only the cyclic condition.
     """
     grade2 = monomials(2)
-    nmon = len(grade2)
     nh = len(h)
     if nh == 0:
         return []
-    ncols = nmon * nh
     hcoords = [to_coords(w, 2) for w in h]
-
-    def col(m: int, a: int) -> int:
-        return m * nh + a
-
     mono_index = {m: n for n, m in enumerate(grade2)}
 
     def pair_coeff(a: int, k: int, v: int) -> Scalar:
@@ -292,45 +316,12 @@ def bianchi_space(h: list[MultiVector], symmetric: bool = True) -> list[Curvatur
                         for a in range(nh):
                             c = pair_coeff(a, z, v)
                             if not c.is_zero:
-                                cc = c if sgn == 1 else -c
-                                key = col(m, a)
-                                nv = row.get(key, ZERO) + cc
-                                if nv.is_zero:
-                                    row.pop(key, None)
-                                else:
-                                    row[key] = nv
+                                add_to(row, m * nh + a, c if sgn == 1 else -c)
                     if row:
                         rows.append(row)
     if symmetric:
-        # <R(e_m), e_n> = <R(e_n), e_m>
-        for m in range(nmon):
-            for n in range(m + 1, nmon):
-                row = {}
-                i, j = grade2[n]
-                k, l = grade2[m]
-                for a in range(nh):
-                    c = pair_coeff(a, i, j)
-                    if not c.is_zero:
-                        row[col(m, a)] = c
-                    c2 = pair_coeff(a, k, l)
-                    if not c2.is_zero:
-                        key = col(n, a)
-                        nv = row.get(key, ZERO) - c2
-                        if nv.is_zero:
-                            row.pop(key, None)
-                        else:
-                            row[key] = nv
-                if row:
-                    rows.append(row)
-    null = linalg.nullspace(rows, ncols)
-    out = []
-    for sol in null:
-        pieces = []
-        for key, c in sol.items():
-            m, a = divmod(key, nh)
-            pieces.append((c, h[a], MultiVector.monomial(grade2[m])))
-        out.append(CurvatureTensor(pieces))
-    return out
+        rows += _symmetry_rows(hcoords)
+    return [_operator(sol, h) for sol in linalg.nullspace(rows, len(grade2) * nh)]
 
 
 @lru_cache(maxsize=None)
@@ -364,29 +355,8 @@ def invariant_ricci_family(h: list[MultiVector]) -> list[list[list[Scalar]]]:
     nh = len(h)
     if nh == 0:
         return []
-    ncols = nmon * nh
     hcoords = [to_coords(w, 2) for w in h]
-    mono_index = {m: n for n, m in enumerate(grade2)}
-
-    rows: list[linalg.Row] = []
-    # symmetry rows
-    for m in range(nmon):
-        for n in range(m + 1, nmon):
-            row: linalg.Row = {}
-            for a in range(nh):
-                c = hcoords[a].get(n, ZERO)
-                if not c.is_zero:
-                    row[m * nh + a] = c
-                c2 = hcoords[a].get(m, ZERO)
-                if not c2.is_zero:
-                    key = n * nh + a
-                    nv = row.get(key, ZERO) - c2
-                    if nv.is_zero:
-                        row.pop(key, None)
-                    else:
-                        row[key] = nv
-            if row:
-                rows.append(row)
+    rows = _symmetry_rows(hcoords)
     # invariance rows: act(w, S(e_m)) - S(act(w, e_m)) = 0
     for w in h:
         acted = {m: to_coords(act_on_form(w, MultiVector.monomial(grade2[m])), 2)
@@ -399,24 +369,10 @@ def invariant_ricci_family(h: list[MultiVector]) -> list[list[list[Scalar]]]:
                     per_slot.setdefault(slot, {})[m * nh + a] = v
             for n, c in acted[m].items():
                 for a in range(nh):
-                    ha = hcoords[a]
-                    for slot, v in ha.items():
-                        r = per_slot.setdefault(slot, {})
-                        key = n * nh + a
-                        nv = r.get(key, ZERO) - c * v
-                        if nv.is_zero:
-                            r.pop(key, None)
-                        else:
-                            r[key] = nv
+                    for slot, v in hcoords[a].items():
+                        add_to(per_slot.setdefault(slot, {}), n * nh + a, -(c * v))
             rows.extend(r for r in per_slot.values() if r)
-    null = linalg.nullspace(rows, ncols)
-    riccis = []
-    for sol in null:
-        pieces = []
-        for key, c in sol.items():
-            m, a = divmod(key, nh)
-            pieces.append((c, h[a], MultiVector.monomial(grade2[m])))
-        riccis.append(CurvatureTensor(pieces).ricci())
+    riccis = [_operator(sol, h).ricci() for sol in linalg.nullspace(rows, nmon * nh)]
     # reduce to an independent spanning set of the Ricci span
     keyed = []
     for ric in riccis:

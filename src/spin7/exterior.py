@@ -5,6 +5,10 @@ A multivector is a map from strictly increasing index tuples (subsets of
 e_1, ..., e_8 is declared orthonormal, vectors and covectors are
 identified, and the volume form is e_12345678.  With those conventions the
 Hodge star satisfies a ^ star(b) = inner(a, b) * vol on each grade.
+
+The map stores no zero coefficient, so a multivector is zero exactly when
+it has no terms; every sum goes through `scalars.add_to`, which keeps
+that rule.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .scalars import ONE, Scalar, ScalarLike
+from .scalars import Scalar, ScalarLike, add_to, dot
 
 DIM = 8
 Index = tuple[int, ...]
@@ -97,12 +101,7 @@ class MultiVector:
     def __add__(self, other: MultiVector) -> MultiVector:
         terms = dict(self.terms)
         for k, v in other.terms.items():
-            nv = terms.get(k)
-            nv = v if nv is None else nv + v
-            if nv.is_zero:
-                terms.pop(k, None)
-            else:
-                terms[k] = nv
+            add_to(terms, k, v)
         return MultiVector(terms)
 
     def __sub__(self, other: MultiVector) -> MultiVector:
@@ -157,21 +156,8 @@ def wedge(a: MultiVector, b: MultiVector) -> MultiVector:
             merged, sign = _merge_sign(ka, kb)
             if sign == 0:
                 continue
-            v = va * vb if sign > 0 else -(va * vb)
-            nv = terms.get(merged)
-            nv = v if nv is None else nv + v
-            if nv.is_zero:
-                terms.pop(merged, None)
-            else:
-                terms[merged] = nv
+            add_to(terms, merged, va * vb if sign > 0 else -(va * vb))
     return MultiVector(terms)
-
-
-def wedge_all(*factors: MultiVector) -> MultiVector:
-    out = MultiVector.scalar(1)
-    for f in factors:
-        out = wedge(out, f)
-    return out
 
 
 def contract(x: MultiVector, a: MultiVector) -> MultiVector:
@@ -187,26 +173,13 @@ def contract(x: MultiVector, a: MultiVector) -> MultiVector:
             pos = ka.index(i)
             rest = ka[:pos] + ka[pos + 1:]
             v = vx * va
-            if pos % 2:
-                v = -v
-            nv = terms.get(rest)
-            nv = v if nv is None else nv + v
-            if nv.is_zero:
-                terms.pop(rest, None)
-            else:
-                terms[rest] = nv
+            add_to(terms, rest, -v if pos % 2 else v)
     return MultiVector(terms)
 
 
 def inner(a: MultiVector, b: MultiVector) -> Scalar:
     """Inner product making the basis monomials orthonormal."""
-    total = Scalar(0)
-    small, big = (a.terms, b.terms) if len(a.terms) <= len(b.terms) else (b.terms, a.terms)
-    for k, v in small.items():
-        w = big.get(k)
-        if w is not None:
-            total = total + v * w
-    return total
+    return dot(a.terms, b.terms)
 
 
 def norm_sq(a: MultiVector) -> Scalar:

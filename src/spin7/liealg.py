@@ -17,10 +17,10 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import linalg
-from .clifford import (N_SPIN, Spinor, act, basis_spinor, spinor_eq)
-from .exterior import (DIM, MultiVector, form, from_coords, monomials,
-                       to_coords)
-from .scalars import ZERO, Scalar, ScalarLike, SQRT15, rational
+from .clifford import N_SPIN, Spinor, act, basis_spinor
+from .exterior import (DIM, MultiVector, _merge_sign, form, from_coords,
+                       monomials, to_coords)
+from .scalars import ZERO, Scalar, ScalarLike, SQRT15, add_to, rational
 
 Matrix8 = list[list[Scalar]]
 
@@ -77,14 +77,8 @@ def act_on_vector(w: MultiVector, x: MultiVector) -> MultiVector:
     for (i,), c in x.terms.items():
         for r in range(DIM):
             v = m[r][i - 1]
-            if v.is_zero:
-                continue
-            key = (r + 1,)
-            nv = out.get(key, ZERO) + c * v * 2
-            if nv.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = nv
+            if not v.is_zero:
+                add_to(out, (r + 1,), c * v * 2)
     return MultiVector(out)
 
 
@@ -96,13 +90,19 @@ def act_on_form(w: MultiVector, a: MultiVector) -> MultiVector:
         for r in range(DIM):
             if not m[r][i].is_zero:
                 cols[i + 1].append((r + 1, m[r][i] * 2))
-    total = MultiVector()
+    terms: dict[tuple[int, ...], Scalar] = {}
     for idx, c in a.terms.items():
         for p, i in enumerate(idx):
+            rest = idx[:p] + idx[p + 1:]
             for r, v in cols[i]:
-                replaced = idx[:p] + (r,) + idx[p + 1:]
-                total = total + MultiVector.monomial(replaced, c * v)
-    return total
+                # e_r in slot p of idx: sort (r,) + rest, then move e_r
+                # back past the p factors in front of that slot
+                key, sign = _merge_sign((r,), rest)
+                if p % 2:
+                    sign = -sign
+                if sign:
+                    add_to(terms, key, c * v if sign > 0 else -(c * v))
+    return MultiVector(terms)
 
 
 def is_invariant_form(generators: list[MultiVector], a: MultiVector) -> bool:
@@ -192,102 +192,6 @@ def stabilizer_in_spin7(a: MultiVector) -> list[MultiVector]:
             w = w + SPIN7_BASIS[i] * c
         out.append(w)
     return out
-
-
-def bracket_normalizer(sub: list[MultiVector],
-                       ambient: list[MultiVector] | None = None) -> list[MultiVector]:
-    """Basis of {w in ambient : [w, s] in span(sub) for all s in sub}."""
-    if ambient is None:
-        ambient = SPIN7_BASIS
-    ech = linalg.Echelon()
-    for s in sub:
-        ech.add_row(to_coords(s, 2))
-    rows: dict[tuple[int, int], linalg.Row] = {}
-    for j, s in enumerate(sub):
-        for i, w in enumerate(ambient):
-            residue = ech.reduce(to_coords(bracket(w, s), 2))
-            for col, v in residue.items():
-                rows.setdefault((j, col), {})[i] = v
-    null = linalg.nullspace(list(rows.values()), len(ambient))
-    out = []
-    for r in null:
-        w = MultiVector()
-        for i, c in r.items():
-            w = w + ambient[i] * c
-        out.append(w)
-    return out
-
-
-def normalizer(sub: list[MultiVector]) -> list[MultiVector]:
-    """Basis of the subalgebra of spin(7) preserving the space of
-    3-forms fixed by sub.
-
-    Two torsion candidates count as the same geometry when one is moved
-    to the other inside that space, so this algebra measures the gauge
-    freedom left over after restricting to sub-invariant 3-forms.  It
-    always contains sub itself.
-    """
-    inv = invariant_forms(list(sub), 3)
-    ech = linalg.Echelon()
-    for v in inv:
-        ech.add_row(to_coords(v, 3))
-    rows: dict[tuple[int, int], linalg.Row] = {}
-    for j, v in enumerate(inv):
-        for i, w in enumerate(SPIN7_BASIS):
-            residue = ech.reduce(to_coords(act_on_form(w, v), 3))
-            for col, val in residue.items():
-                rows.setdefault((j, col), {})[i] = val
-    null = linalg.nullspace(list(rows.values()), len(SPIN7_BASIS))
-    out = []
-    for r in null:
-        w = MultiVector()
-        for i, c in r.items():
-            w = w + SPIN7_BASIS[i] * c
-        out.append(w)
-    return out
-
-
-def essential_parameter_count(sub: list[MultiVector]) -> int:
-    """Number of parameters of the sub-invariant 3-form family once the
-    directions swept out by the normalizer action are removed.
-
-    The orbit dimension is sampled at weighted combinations of the
-    invariant basis; the weights below are generic enough that the
-    maximal orbit dimension is attained.
-    """
-    inv = invariant_forms(list(sub), 3)
-    if not inv:
-        return 0
-    gauge = normalizer(sub)
-    best = 0
-    for shift in (0, 1):
-        probe = MultiVector()
-        for i, v in enumerate(inv):
-            probe = probe + v * (2 * i + 1 + shift)
-        orbit = [act_on_form(w, probe) for w in gauge]
-        best = max(best, span_dim(orbit, 3))
-    return len(inv) - best
-
-
-def killing_gram(basis: list[MultiVector]) -> list[list[Scalar]]:
-    """Killing form Gram matrix of a bracket-closed span of 2-forms."""
-    n = len(basis)
-    struct: list[list[list[Scalar]]] = [[None] * n for _ in range(n)]  # type: ignore
-    for i in range(n):
-        for j in range(n):
-            coeffs = express(bracket(basis[i], basis[j]), basis, 2)
-            if coeffs is None:
-                raise ValueError("span is not closed under the bracket")
-            struct[i][j] = [coeffs.get(k, ZERO) for k in range(n)]
-    gram = [[ZERO] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            tot = ZERO
-            for j in range(n):
-                for k in range(n):
-                    tot = tot + struct[a][j][k] * struct[b][k][j]
-            gram[a][b] = tot
-    return gram
 
 
 # ---------------------------------------------------------------------------

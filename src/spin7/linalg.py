@@ -1,13 +1,14 @@
 """Exact linear algebra over Q(sqrt3, sqrt5).
 
-Rows are sparse dicts {column: Scalar}.  Elimination pivots on the first
+Rows are sparse dicts {column: Scalar} that store no zero, a rule that
+`scalars.add_to` keeps during elimination.  Elimination pivots on the first
 column holding a nonzero entry and keeps the form fully reduced, so ranks,
 kernels and solution sets come out in a deterministic normal form.
 """
 
 from __future__ import annotations
 
-from .scalars import ONE, Scalar
+from .scalars import ONE, Scalar, add_to
 
 Row = dict[int, Scalar]
 
@@ -20,13 +21,9 @@ def _clean(row: Row) -> Row:
 
 def _axpy(target: Row, factor: Scalar, source: Row) -> None:
     """target -= factor * source, in place."""
+    neg = -factor
     for c, v in source.items():
-        nv = target.get(c)
-        nv = (-factor * v) if nv is None else (nv - factor * v)
-        if nv.is_zero:
-            target.pop(c, None)
-        else:
-            target[c] = nv
+        add_to(target, c, neg * v)
 
 
 class Echelon:
@@ -40,7 +37,7 @@ class Echelon:
         self.pivot_rows: dict[int, Row] = {}
 
     def reduce(self, row: Row) -> Row:
-        row = _clean(dict(row))
+        row = _clean(row)
         for c in [c for c in row if c in self.pivot_rows]:
             if c in row:
                 _axpy(row, row[c], self.pivot_rows[c])
@@ -95,9 +92,9 @@ def nullspace(rows: list[Row], ncols: int) -> list[Row]:
         vec: Row = {f: ONE}
         for c, prow in piv.items():
             coeff = prow.get(f)
-            if coeff is not None and not coeff.is_zero:
+            if coeff is not None:
                 vec[c] = -coeff
-        basis.append(_clean(vec))
+        basis.append(vec)
     return basis
 
 
@@ -117,21 +114,9 @@ def solve(rows: list[Row], rhs: list[Scalar]) -> Row | None:
     sol: Row = {}
     for c, prow in ech.pivot_rows.items():
         r = prow.get(_RHS)
-        if r is not None and not r.is_zero:
+        if r is not None:
             sol[c] = -r
     return sol
-
-
-def matvec(rows: list[Row], vec: Row) -> list[Scalar]:
-    out = []
-    for row in rows:
-        total = Scalar(0)
-        for c, v in row.items():
-            x = vec.get(c)
-            if x is not None:
-                total = total + v * x
-        out.append(total)
-    return out
 
 
 def span_equal(rows_a: list[Row], rows_b: list[Row]) -> bool:

@@ -69,6 +69,8 @@ class Scalar:
         return Scalar(self.a - o.a, self.b - o.b, self.c - o.c, self.d - o.d)
 
     def __rsub__(self, other: ScalarLike) -> Scalar:
+        if not isinstance(other, (Scalar, int, Fraction)):
+            return NotImplemented
         return Scalar.coerce(other) - self
 
     def __neg__(self) -> Scalar:
@@ -119,6 +121,8 @@ class Scalar:
         return self * o.inverse()
 
     def __rtruediv__(self, other: ScalarLike) -> Scalar:
+        if not isinstance(other, (Scalar, int, Fraction)):
+            return NotImplemented
         return Scalar.coerce(other) / self
 
     def __pow__(self, n: int) -> Scalar:
@@ -282,3 +286,27 @@ SQRT15 = Scalar(0, 0, 0, 1)
 
 def rational(p: RationalLike, q: RationalLike = 1) -> Scalar:
     return Scalar(Fraction(p) / Fraction(q))
+
+
+# ---------------------------------------------------------------------------
+# sparse maps of Scalars: forms, spinors, matrix rows and polynomials are
+# dicts that never store a zero, so an empty dict is the zero element
+
+def add_to(terms: dict, key, value: Scalar) -> None:
+    """terms[key] += value, dropping the key when the sum is zero."""
+    total = terms[key] + value if key in terms else value
+    if total.is_zero:
+        terms.pop(key, None)
+    else:
+        terms[key] = total
+
+
+def dot(x: dict, y: dict) -> Scalar:
+    """Sum of x[k] * y[k] over the keys two sparse maps share."""
+    small, big = (x, y) if len(x) <= len(y) else (y, x)
+    total = ZERO
+    for k, v in small.items():
+        w = big.get(k)
+        if w is not None:
+            total = total + v * w
+    return total

@@ -21,9 +21,9 @@ from typing import Callable, Mapping, Optional
 from . import linalg
 from .clifford import (N_SPIN, Spinor, act, basis_spinor, gamma_apply,
                        spinor_eq, spinor_scale, spinor_sub)
-from .exterior import (CAYLEY, DIM, E, MultiVector, contract, evaluate, form,
-                       hodge, inner, norm_sq, sigma_t, wedge)
-from .scalars import ZERO, Scalar, ScalarLike, rational
+from .exterior import (CAYLEY, DIM, E, MultiVector, contract, form, hodge,
+                       inner, norm_sq, sigma_t, wedge)
+from .scalars import ZERO, Scalar, ScalarLike, add_to, rational
 
 Params = Mapping[str, ScalarLike]
 
@@ -121,11 +121,7 @@ def _combine(cols: list[Spinor], psi: Spinor) -> Spinor:
     out: Spinor = {}
     for k, v in psi.items():
         for m, w in cols[k].items():
-            nv = out.get(m, ZERO) + v * w
-            if nv.is_zero:
-                out.pop(m, None)
-            else:
-                out[m] = nv
+            add_to(out, m, v * w)
     return out
 
 
@@ -223,25 +219,6 @@ def ricci_solver(t: MultiVector,
         ric[i - 1][j - 1] = v
         ric[j - 1][i - 1] = v
     return ric
-
-
-def ricci_g_relation(t: MultiVector, ric_c: list[list[Scalar]]) -> list[list[Scalar]]:
-    """Riemannian Ricci tensor from the torsion one:
-    Ric^g_ij = Ric^c_ij + (1/4) sum_mn t_imn t_jmn."""
-    coeff = [[[evaluate(t, [E[i], E[m], E[n]])
-               for n in range(1, DIM + 1)]
-              for m in range(1, DIM + 1)]
-             for i in range(1, DIM + 1)]
-    out = [[ZERO] * DIM for _ in range(DIM)]
-    quarter = rational(1, 4)
-    for i in range(DIM):
-        for j in range(DIM):
-            tot = ZERO
-            for m in range(DIM):
-                for n in range(DIM):
-                    tot = tot + coeff[i][m][n] * coeff[j][m][n]
-            out[i][j] = ric_c[i][j] + quarter * tot
-    return out
 
 
 def diagonal(matrix: list[list[Scalar]]) -> list[Scalar]:

@@ -25,7 +25,7 @@ from typing import Callable, Iterable
 
 from . import linalg
 from .clifford import (BASE_SPINOR, N_SPIN, act, basis_spinor, gamma_apply,
-                       spinor_eq, spinor_scale, spinor_sub)
+                       spinor_add, spinor_eq, spinor_scale, spinor_sub)
 from .curvature import (CASE_HOLONOMY, bianchi_dim_positive, build_rc,
                         cyclic_residue, vanishing_constraints)
 from .exterior import (CAYLEY, DIM, E, VOL, MultiVector, contract, evaluate,
@@ -157,14 +157,8 @@ def suite_clifford(rng: random.Random) -> SuiteReport:
             target = -2 if i == j else 0
             for k in range(N_SPIN):
                 s = basis_spinor(k)
-                lhs = gamma_apply(i, gamma_apply(j, s))
-                lhs = {m: v for m, v in lhs.items()}
-                for m, v in gamma_apply(j, gamma_apply(i, s)).items():
-                    nv = lhs.get(m, ZERO) + v
-                    if nv.is_zero:
-                        lhs.pop(m, None)
-                    else:
-                        lhs[m] = nv
+                lhs = spinor_add(gamma_apply(i, gamma_apply(j, s)),
+                                 gamma_apply(j, gamma_apply(i, s)))
                 want = {k: Scalar(target)} if target else {}
                 if lhs != want:
                     bad.append((i, j, k))

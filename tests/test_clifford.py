@@ -1,8 +1,8 @@
 from spin7.clifford import (BASE_SPINOR, N_SPIN, act, basis_spinor,
-                            gamma_apply, spinor_add, spinor_eq, spinor_inner,
-                            spinor_scale, spinor_sub)
+                            gamma_apply, spinor_add, spinor_eq, spinor_scale,
+                            spinor_sub)
 from spin7.exterior import CAYLEY, DIM, form
-from spin7.scalars import Scalar, rational
+from spin7.scalars import Scalar, dot, rational
 
 
 def test_generators_square_to_minus_one():
@@ -26,7 +26,7 @@ def test_basis_spinors_are_orthonormal():
     for a in range(N_SPIN):
         for b in range(N_SPIN):
             want = Scalar(1 if a == b else 0)
-            assert spinor_inner(basis_spinor(a), basis_spinor(b)) == want
+            assert dot(basis_spinor(a), basis_spinor(b)) == want
 
 
 def test_form_action_composes_generator_actions():

@@ -82,9 +82,11 @@ def test_exact_sign_determination():
     assert Scalar(0).sign() == 0
     # close call: sqrt3 + sqrt5 against sqrt15 - 1/7
     assert (SQRT3 + SQRT5 - SQRT15 + rational(1, 7)).sign() > 0
-    # ordering against a foreign type defers to it, then fails as a TypeError
-    for op in ("__lt__", "__le__", "__gt__", "__ge__"):
-        assert getattr(SQRT3, op)("2") is NotImplemented
+    # ordering and reflected arithmetic against a foreign type defer to
+    # it, then fail as a TypeError
+    for op in ("__lt__", "__le__", "__gt__", "__ge__", "__rsub__", "__rtruediv__"):
+        for other in ("2", "x"):
+            assert getattr(SQRT3, op)(other) is NotImplemented
     with pytest.raises(TypeError):
         SQRT3 < "2"
     assert 1 < SQRT3 < Fraction(7, 4) and SQRT3 >= SQRT3
