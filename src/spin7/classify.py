@@ -25,8 +25,8 @@ from .curvature import (CurvatureTensor, bianchi_dim_positive, build_rc,
                         case_weights, invariant_ricci_family,
                         ricci_span_contains)
 from .exterior import (DIM, E, MultiVector, contract, evaluate, form,
-                       to_coords, wedge)
-from .liealg import algebra, bracket, express, in_span, mat
+                       inner, to_coords, wedge)
+from .liealg import algebra, bracket, express, in_span
 from .scalars import ONE, SQRT3, ZERO, Scalar, ScalarLike, add_to, rational
 from .structure import FAMILIES, ricci_solver
 
@@ -525,16 +525,11 @@ def flat_operator_locus() -> tuple[dict, ...]:
 
 @dataclass
 class ReconstructedAlgebra:
-    """Holonomy part plus a vector part, with an explicit bracket table.
-
-    metric is the restriction of the model inner product to the vector
-    part; the basis is orthonormal there, so it is an identity block.
-    """
+    """Holonomy part plus a vector part, with an explicit bracket table."""
 
     dim: int
     labels: list[str]
     structure: dict[tuple[int, int], dict[int, Scalar]]
-    metric: list[list[Scalar]]
     jacobi_ok: bool
     jacobi_failures: list[tuple[int, int, int]] = field(default_factory=list)
 
@@ -556,29 +551,21 @@ class ReconstructedAlgebra:
                     add_to(out, m, c * v if sign == 1 else -(c * v))
         return out
 
-    def adjoint(self, i: int) -> list[list[Scalar]]:
-        m = [[ZERO] * self.dim for _ in range(self.dim)]
-        for j in range(self.dim):
-            for r, v in self.bracket_vec({i: Scalar(1)}, {j: Scalar(1)}).items():
-                m[r][j] = v
-        return m
-
-    def killing_matrix(self) -> list[list[Scalar]]:
-        ads = [self.adjoint(i) for i in range(self.dim)]
-
-        def tr(p, q):
-            tot = ZERO
-            for r in range(self.dim):
-                for c in range(self.dim):
-                    tot = tot + p[r][c] * q[c][r]
-            return tot
-        return [[tr(ads[i], ads[j]) for j in range(self.dim)]
-                for i in range(self.dim)]
-
     def killing_nondegenerate(self) -> bool:
-        km = self.killing_matrix()
-        rows = [{j: km[i][j] for j in range(self.dim) if not km[i][j].is_zero}
-                for i in range(self.dim)]
+        """Whether the Killing form tr(ad_i ad_j) has full rank; ad_i is
+        kept as its column images [e_i, e_k]."""
+        ads = [{k: col for k in range(self.dim)
+                if (col := self.bracket_vec({i: ONE}, {k: ONE}))}
+               for i in range(self.dim)]
+        rows = []
+        for p in ads:
+            row = {}
+            for j, q in enumerate(ads):
+                tr = sum((linalg.apply(p, col).get(k, ZERO)
+                          for k, col in q.items()), ZERO)
+                if not tr.is_zero:
+                    row[j] = tr
+            rows.append(row)
         return linalg.rank(rows) == self.dim
 
 
@@ -587,13 +574,13 @@ def reconstruct_lie_algebra(t: MultiVector, r: Optional[CurvatureTensor],
                             dims: Optional[Sequence[int]] = None) -> ReconstructedAlgebra:
     """Bracket on h + R^n: [A+X, B+Y] = ([A,B] - R(X,Y)) + (A.Y - B.X - T(X,Y)).
 
-    A 2-form acts on vectors through its skew matrix, T(X,Y) is the
-    metric dual of the doubly contracted torsion, and curvature values
-    are re-expressed in the h basis.  dims restricts the vector part to
-    a subset of the coordinate directions; the bracket must close on it.
-    Jacobi is verified exactly; failures are recorded per basis triple
-    rather than raised, so a non-closing input still yields a
-    diagnosable table.
+    A 2-form acts on a vector by A.Y = bracket(A, Y), half its rotation
+    act_on_form(A, Y); T(X,Y) is the metric dual of the doubly contracted
+    torsion, and curvature values are re-expressed in the h basis.  dims
+    restricts the vector part to a subset of the coordinate directions;
+    the bracket must close on it.  Jacobi is verified exactly; failures
+    are recorded per basis triple rather than raised, so a non-closing
+    input still yields a diagnosable table.
     """
     dims = list(range(1, DIM + 1)) if dims is None else list(dims)
     nv = len(dims)
@@ -601,7 +588,6 @@ def reconstruct_lie_algebra(t: MultiVector, r: Optional[CurvatureTensor],
     nh = len(h)
     n = nh + nv
     labels = [f"h{i + 1}" for i in range(nh)] + [f"e{d}" for d in dims]
-    hmats = [mat(w) for w in h]
 
     def h_coords(w: MultiVector) -> dict[int, Scalar]:
         if w.is_zero:
@@ -631,8 +617,8 @@ def reconstruct_lie_algebra(t: MultiVector, r: Optional[CurvatureTensor],
     for a in range(nh):
         for d in dims:
             co: dict[int, Scalar] = {}
-            for i in range(DIM):
-                vec_entry(i + 1, hmats[a][i][d - 1], co)
+            for (i,), c in bracket(h[a], E[d]).terms.items():
+                vec_entry(i, c, co)
             put(a, nh + pos[d], co)
     for xi, x in enumerate(dims):
         for y in dims[xi + 1:]:
@@ -645,9 +631,7 @@ def reconstruct_lie_algebra(t: MultiVector, r: Optional[CurvatureTensor],
                 vec_entry(z, -evaluate(t, [E[x], E[y], E[z]]), co)
             put(nh + pos[x], nh + pos[y], co)
 
-    metric = [[Scalar(1) if i == j else ZERO for j in range(nv)]
-              for i in range(nv)]
-    alg = ReconstructedAlgebra(n, labels, structure, metric, True)
+    alg = ReconstructedAlgebra(n, labels, structure, True)
     failures = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -674,48 +658,28 @@ class SplittingResult:
     minus_part: MultiVector
 
 
-def _projector(basis: list[MultiVector]) -> list[list[Scalar]]:
-    """Orthogonal projection onto the span of the given 1-forms."""
+def _projector(basis: list[MultiVector]) -> dict[int, MultiVector]:
+    """Orthogonal projection onto the span of the given 1-forms, as its
+    images P(e_i) = sum_a x_a basis[a], where Gram(basis) x = <basis, e_i>."""
     k = len(basis)
-    coords = [[b.coeff((i,)) for i in range(1, DIM + 1)] for b in basis]
-    gram = [[sum((coords[a][i] * coords[b][i] for i in range(DIM)), ZERO)
-             for b in range(k)] for a in range(k)]
-    rows = [{j: gram[i][j] for j in range(k) if not gram[i][j].is_zero}
-            for i in range(k)]
-    if linalg.rank(rows) < k:
+    gram = [{b: g for b in range(k) if not (g := inner(basis[a], basis[b])).is_zero}
+            for a in range(k)]
+    if linalg.rank(gram) < k:
         raise ValueError("basis vectors are linearly dependent")
-    inv_cols = []
-    for c in range(k):
-        rhs = [Scalar(1) if i == c else ZERO for i in range(k)]
-        sol = linalg.solve(rows, rhs)
-        inv_cols.append([sol.get(i, ZERO) for i in range(k)])
-    out = [[ZERO] * DIM for _ in range(DIM)]
-    for a in range(k):
-        for b in range(k):
-            w = inv_cols[b][a]
-            if w.is_zero:
-                continue
-            for i in range(DIM):
-                if coords[a][i].is_zero:
-                    continue
-                for j in range(DIM):
-                    out[i][j] = out[i][j] + coords[a][i] * w * coords[b][j]
-    return out
+    images = {}
+    for i in range(1, DIM + 1):
+        x = linalg.solve(gram, [b.coeff((i,)) for b in basis])
+        images[i] = sum((basis[a] * c for a, c in x.items()), MultiVector())
+    return images
 
 
-def _push_form(t: MultiVector, proj: list[list[Scalar]]) -> MultiVector:
-    imgs = []
-    for i in range(DIM):
-        v = MultiVector()
-        for j in range(DIM):
-            if not proj[j][i].is_zero:
-                v = v + E[j + 1] * proj[j][i]
-        imgs.append(v)
+def _push_form(t: MultiVector, images: dict[int, MultiVector]) -> MultiVector:
+    """t with every e_i replaced by its image."""
     out = MultiVector()
     for idx, coeff in t.terms.items():
         term = None
         for i in idx:
-            term = imgs[i - 1] if term is None else wedge(term, imgs[i - 1])
+            term = images[i] if term is None else wedge(term, images[i])
         if term is not None and not term.is_zero:
             out = out + term * coeff
     return out
@@ -736,9 +700,7 @@ def splitting_check(t: MultiVector, plus: list[MultiVector],
         raise ValueError("the combined spans do not fill the model space")
     for p in plus:
         for m in minus:
-            dot = sum((p.coeff((i,)) * m.coeff((i,)) for i in range(1, DIM + 1)),
-                      ZERO)
-            if not dot.is_zero:
+            if not inner(p, m).is_zero:
                 raise ValueError("the two spans must be orthogonal")
 
     t_plus = _push_form(t, _projector(plus)) if plus else MultiVector()

@@ -19,8 +19,6 @@ from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
-import jsonschema
-
 from .classify import admissible_pairs, reconstruct_lie_algebra
 from .curvature import CASE_HOLONOMY, build_rc, case_family, cyclic_residue
 from .exterior import FormSyntaxError, _format_coeff, form, format_form
@@ -69,13 +67,16 @@ def _parse_set(text: str) -> dict[str, Scalar]:
         if not chunk:
             continue
         key, eq, value = chunk.partition("=")
-        if not eq or not key.strip():
+        key = key.strip()
+        if not eq or not key:
             raise UsageError(
                 f"--set entries look like name=value, got {chunk!r}")
+        if key in out:
+            raise UsageError(f"--set names {key!r} twice")
         try:
-            out[key.strip()] = Scalar.parse(value.strip())
+            out[key] = Scalar.parse(value.strip())
         except ValueError as exc:
-            raise UsageError(f"bad value for {key.strip()!r}: {exc}") from None
+            raise UsageError(f"bad value for {key!r}: {exc}") from None
     return out
 
 
@@ -275,6 +276,7 @@ def _schema() -> dict:
 
 
 def _validate(envelope: dict) -> None:
+    import jsonschema  # imported here: markdown output never needs it
     jsonschema.validate(envelope, _schema())
 
 

@@ -1,11 +1,13 @@
 """Algebraic curvature operators valued in a subalgebra.
 
-A curvature operator here is a linear map on 2-forms written as a sum of
-dyads coeff * left * <right, .>.  The module provides the first Bianchi
-solver (with and without operator symmetry), the closed-form curvature
-operators attached to the torsion families, Ricci contraction, the
-torsion-corrected Bianchi identity, and the families of Ricci tensors
-reachable by invariant symmetric operators.
+A curvature operator here is a linear map on 2-forms, stored as the
+images of the 28 coordinate 2-forms (`linalg` column form), so an entry
+R(e_i, e_j, e_k, e_l) is a lookup.  The closed-form operators are written
+as sums of dyads coeff * left * <right, .> and expanded into columns once.
+The module provides the first Bianchi solver (with and without operator
+symmetry), the closed-form curvature operators attached to the torsion
+families, Ricci contraction, the torsion-corrected Bianchi identity, and
+the families of Ricci tensors reachable by invariant symmetric operators.
 
 The plain first Bianchi identity fails for a connection with parallel
 skew torsion; its cyclic sum equals the associated 4-form instead.  That
@@ -15,12 +17,13 @@ proportionality constant pinned by the checks in the test suite.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import lru_cache
 
 from . import linalg
-from .exterior import (DIM, E, MultiVector, evaluate, inner, monomials,
-                       sigma_t, to_coords)
-from .liealg import SPIN7_BASIS, act_on_form, algebra, in_span
+from .exterior import (DIM, E, MultiVector, _monomial_index, evaluate,
+                       from_coords, monomials, sigma_t, to_coords)
+from .liealg import SPIN7_BASIS, algebra, rotation
 from .scalars import ZERO, Scalar, ScalarLike, SQRT15, add_to, rational
 from .structure import FAMILIES, Params, TorsionFamily
 
@@ -28,60 +31,55 @@ Dyad = tuple[Scalar, MultiVector, MultiVector]
 
 
 class CurvatureTensor:
-    """Operator on 2-forms stored as a list of dyads."""
+    """Operator on 2-forms stored as its nonzero column images
+    {m: coordinates of R(e_m)} over the coordinate 2-forms e_m."""
 
-    __slots__ = ("pieces",)
+    __slots__ = ("columns",)
 
-    def __init__(self, pieces: list[Dyad]):
-        self.pieces = [(c, l, r) for (c, l, r) in pieces if not c.is_zero]
+    def __init__(self, columns: dict[int, linalg.Row]):
+        self.columns = {m: col for m, col in columns.items() if col}
+
+    @classmethod
+    def from_dyads(cls, pieces: list[Dyad]) -> CurvatureTensor:
+        """The operator sum c * left * <right, .> over the dyads."""
+        columns: dict[int, linalg.Row] = defaultdict(dict)
+        for c, left, right in pieces:
+            lcoords = to_coords(left, 2)
+            for m, rv in to_coords(right, 2).items():
+                weight = c * rv
+                for n, lv in lcoords.items():
+                    add_to(columns[m], n, weight * lv)
+        return cls(columns)
 
     def apply(self, a: MultiVector) -> MultiVector:
-        out = MultiVector()
-        for c, left, right in self.pieces:
-            weight = c * inner(right, a)
-            if not weight.is_zero:
-                out = out + left * weight
-        return out
+        return from_coords(linalg.apply(self.columns, to_coords(a, 2)), 2)
 
     def entry(self, i: int, j: int, k: int, l: int) -> Scalar:
         """The 4-tensor value on basis vectors, R(e_i, e_j, e_k, e_l)."""
         if i == j or k == l:
             return ZERO
-        sgn = 1
-        if i > j:
-            i, j, sgn = j, i, -sgn
-        if k > l:
-            k, l, sgn = l, k, -sgn
-        value = inner(self.apply(MultiVector.monomial((i, j))), MultiVector.monomial((k, l)))
-        return value if sgn == 1 else -value
-
-    def matrix(self) -> list[list[Scalar]]:
-        """Gram matrix over the 28 coordinate 2-forms."""
-        grade2 = monomials(2)
-        cols = [to_coords(self.apply(MultiVector.monomial(m)), 2) for m in grade2]
-        n = len(grade2)
-        return [[cols[a].get(b, ZERO) for a in range(n)] for b in range(n)]
+        (m, s), (n, t) = _pair(i, j), _pair(k, l)
+        value = self.columns.get(m, {}).get(n, ZERO)
+        return value if s == t else -value
 
     def is_symmetric(self) -> bool:
-        m = self.matrix()
-        n = len(m)
-        return all(m[a][b] == m[b][a] for a in range(n) for b in range(a + 1, n))
+        return linalg.transpose(self.columns) == self.columns
 
+    @property
     def is_zero(self) -> bool:
-        return all(self.apply(MultiVector.monomial(m)).is_zero for m in monomials(2))
+        return not self.columns
 
     def range_inside(self, h: list[MultiVector]) -> bool:
-        return all(in_span(self.apply(MultiVector.monomial(m)), h, 2)
-                   for m in monomials(2))
+        span = linalg.echelon([to_coords(w, 2) for w in h])
+        return all(span.contains(col) for col in self.columns.values())
 
     def invariant_under(self, h: list[MultiVector]) -> bool:
         """Whether the operator commutes with the rotations from h."""
         for w in h:
-            for m in monomials(2):
-                a = MultiVector.monomial(m)
-                lhs = act_on_form(w, self.apply(a))
-                rhs = self.apply(act_on_form(w, a))
-                if lhs != rhs:
+            rot = rotation(w, 2)
+            for m in range(len(monomials(2))):
+                lhs = linalg.apply(rot, self.columns.get(m, {}))
+                if lhs != linalg.apply(self.columns, rot.get(m, {})):
                     return False
         return True
 
@@ -90,12 +88,15 @@ class CurvatureTensor:
         out = [[ZERO] * DIM for _ in range(DIM)]
         for x in range(1, DIM + 1):
             for y in range(x, DIM + 1):
-                tot = ZERO
-                for i in range(1, DIM + 1):
-                    tot = tot + self.entry(i, x, y, i)
-                out[x - 1][y - 1] = tot
-                out[y - 1][x - 1] = tot
+                tot = sum((self.entry(i, x, y, i) for i in range(1, DIM + 1)), ZERO)
+                out[x - 1][y - 1] = out[y - 1][x - 1] = tot
         return out
+
+
+def _pair(i: int, j: int) -> tuple[int, int]:
+    """Coordinate index and sign of e_i ^ e_j for i != j."""
+    index = _monomial_index(2)
+    return (index[(i, j)], 1) if i < j else (index[(j, i)], -1)
 
 
 def dyad(c: ScalarLike, left: MultiVector, right: MultiVector | None = None) -> Dyad:
@@ -146,7 +147,7 @@ def case_operator(case: str, r1: ScalarLike, r2: ScalarLike) -> CurvatureTensor:
         pieces += [dyad(r2, p[12]), dyad(r2, p[13])]
     elif case not in ("5.3.1", "5.3.1-I", "5.3.1-II"):
         raise KeyError(f"no two-weight operator for case {case!r}")
-    return CurvatureTensor(pieces)
+    return CurvatureTensor.from_dyads(pieces)
 
 
 def vanishing_constraints(case: str, h: list[MultiVector]) -> tuple[bool, bool]:
@@ -207,7 +208,7 @@ def build_rc(case: str, assignment: Params) -> CurvatureTensor:
         # the dyads expand squares of the irreducible so(3) basis, whose
         # members have norm-sqrt(5/2) and sqrt(3/2) coefficients; the
         # products stay inside the scalar field
-        return CurvatureTensor([
+        return CurvatureTensor.from_dyads([
             dyad(w * rational(5, 2), p[4]),
             dyad(-w * mixed, p[4], p[9]),
             dyad(-w * mixed, p[9], p[4]),
@@ -221,14 +222,14 @@ def build_rc(case: str, assignment: Params) -> CurvatureTensor:
     if case == "5.2.1":
         lam = fam.ricci_diag(assignment)[0]
         w = -lam * rational(1, 2)
-        return CurvatureTensor([
+        return CurvatureTensor.from_dyads([
             dyad(w * rational(1, 2), p[0] + p[4]),
             dyad(w * rational(1, 2), p[1] + p[5]),
             dyad(w, p[6] + p[7]),
         ])
     lam = fam.ricci_diag(assignment)[0]
     w = -lam * rational(1, 4)
-    return CurvatureTensor([
+    return CurvatureTensor.from_dyads([
         dyad(3 * w, ta),
         dyad(w, tb),
     ])
@@ -269,14 +270,14 @@ def _symmetry_rows(hcoords: list[linalg.Row]) -> list[linalg.Row]:
     return rows
 
 
-def _operator(sol: linalg.Row, h: list[MultiVector]) -> CurvatureTensor:
-    """The operator of a solution vector x."""
-    grade2 = monomials(2)
-    pieces = []
+def _operator(sol: linalg.Row, hcoords: list[linalg.Row]) -> CurvatureTensor:
+    """The operator of a solution vector x: column m is sum_a x[m, a] h_a."""
+    columns: dict[int, linalg.Row] = defaultdict(dict)
     for key, c in sol.items():
-        m, a = divmod(key, len(h))
-        pieces.append((c, h[a], MultiVector.monomial(grade2[m])))
-    return CurvatureTensor(pieces)
+        m, a = divmod(key, len(hcoords))
+        for n, v in hcoords[a].items():
+            add_to(columns[m], n, c * v)
+    return CurvatureTensor(columns)
 
 
 def bianchi_space(h: list[MultiVector], symmetric: bool = True) -> list[CurvatureTensor]:
@@ -286,48 +287,35 @@ def bianchi_space(h: list[MultiVector], symmetric: bool = True) -> list[Curvatur
     cyclic-sum kernel.  Both dimensions are worth reporting since the
     displayed definition of the space fixes only the cyclic condition.
     """
-    grade2 = monomials(2)
     nh = len(h)
     if nh == 0:
         return []
     hcoords = [to_coords(w, 2) for w in h]
-    mono_index = {m: n for n, m in enumerate(grade2)}
-
-    def pair_coeff(a: int, k: int, v: int) -> Scalar:
-        # <h_a, e_k ^ e_v> for k != v
-        if k < v:
-            return hcoords[a].get(mono_index[(k, v)], ZERO)
-        return -hcoords[a].get(mono_index[(v, k)], ZERO)
-
     rows: list[linalg.Row] = []
     for i in range(1, DIM + 1):
         for j in range(i + 1, DIM + 1):
             for k in range(j + 1, DIM + 1):
                 for v in range(1, DIM + 1):
+                    # sum_cyc <R(e_x ^ e_y), e_z ^ e_v> with R(e_m) = sum_a x[m, a] h_a
                     row: linalg.Row = {}
                     for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j)):
                         if z == v:
                             continue
-                        sgn = 1
-                        xx, yy = x, y
-                        if xx > yy:
-                            xx, yy, sgn = yy, xx, -sgn
-                        m = mono_index[(xx, yy)]
-                        for a in range(nh):
-                            c = pair_coeff(a, z, v)
-                            if not c.is_zero:
-                                add_to(row, m * nh + a, c if sgn == 1 else -c)
+                        (m, s), (n, t) = _pair(x, y), _pair(z, v)
+                        for a, ha in enumerate(hcoords):
+                            if n in ha:
+                                add_to(row, m * nh + a, ha[n] if s == t else -ha[n])
                     if row:
                         rows.append(row)
     if symmetric:
         rows += _symmetry_rows(hcoords)
-    return [_operator(sol, h) for sol in linalg.nullspace(rows, len(grade2) * nh)]
+    return [_operator(sol, hcoords) for sol in linalg.nullspace(rows, len(monomials(2)) * nh)]
 
 
 @lru_cache(maxsize=None)
 def _su2_witness() -> CurvatureTensor:
     p = SPIN7_BASIS
-    return CurvatureTensor([dyad(1, p[4]), dyad(-1, p[5])])
+    return CurvatureTensor.from_dyads([dyad(1, p[4]), dyad(-1, p[5])])
 
 
 def bianchi_dim_positive(name: str) -> bool:
@@ -350,40 +338,30 @@ def bianchi_dim_positive(name: str) -> bool:
 def invariant_ricci_family(h: list[MultiVector]) -> list[list[list[Scalar]]]:
     """Basis of Ricci tensors of symmetric h-invariant operators into
     span(h)."""
-    grade2 = monomials(2)
-    nmon = len(grade2)
+    nmon = len(monomials(2))
     nh = len(h)
     if nh == 0:
         return []
     hcoords = [to_coords(w, 2) for w in h]
     rows = _symmetry_rows(hcoords)
-    # invariance rows: act(w, S(e_m)) - S(act(w, e_m)) = 0
+    # invariance rows: act(w, S(e_m)) - S(act(w, e_m)) = 0, as a map of x
     for w in h:
-        acted = {m: to_coords(act_on_form(w, MultiVector.monomial(grade2[m])), 2)
-                 for m in range(nmon)}
-        img = [to_coords(act_on_form(w, ha), 2) for ha in h]
+        rot = rotation(w, 2)
+        img = [linalg.apply(rot, ha) for ha in hcoords]
         for m in range(nmon):
-            per_slot: dict[int, linalg.Row] = {}
-            for a in range(nh):
-                for slot, v in img[a].items():
-                    per_slot.setdefault(slot, {})[m * nh + a] = v
-            for n, c in acted[m].items():
-                for a in range(nh):
-                    for slot, v in hcoords[a].items():
-                        add_to(per_slot.setdefault(slot, {}), n * nh + a, -(c * v))
-            rows.extend(r for r in per_slot.values() if r)
-    riccis = [_operator(sol, h).ricci() for sol in linalg.nullspace(rows, nmon * nh)]
+            columns = {m * nh + a: img[a] for a in range(nh)}
+            for n, c in rot.get(m, {}).items():
+                for a, ha in enumerate(hcoords):
+                    columns[n * nh + a] = {slot: -(c * v) for slot, v in ha.items()}
+            rows.extend(linalg.transpose(columns).values())
+    riccis = [_operator(sol, hcoords).ricci() for sol in linalg.nullspace(rows, nmon * nh)]
     # reduce to an independent spanning set of the Ricci span
-    keyed = []
-    for ric in riccis:
-        keyed.append({i * DIM + j: ric[i][j]
-                      for i in range(DIM) for j in range(DIM)
-                      if not ric[i][j].is_zero})
     ech = linalg.Echelon()
     keep = []
-    for ric, row in zip(riccis, keyed):
-        if not ech.contains(row):
-            ech.add_row(row)
+    for ric in riccis:
+        row = {i * DIM + j: ric[i][j] for i in range(DIM) for j in range(DIM)
+               if not ric[i][j].is_zero}
+        if ech.add_row(row) is not None:
             keep.append(ric)
     return keep
 

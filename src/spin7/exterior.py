@@ -68,9 +68,8 @@ class MultiVector:
             raise ValueError(f"indices out of range: {idx}")
         if len(set(idx)) != len(idx):
             return cls()
-        order = tuple(sorted(idx))
-        sign = _permutation_sign(idx)
-        return cls({order: Scalar.coerce(coeff) * sign})
+        c = Scalar.coerce(coeff)
+        return cls({tuple(sorted(idx)): c if _permutation_sign(idx) > 0 else -c})
 
     @classmethod
     def scalar(cls, value: ScalarLike) -> MultiVector:
@@ -92,11 +91,10 @@ class MultiVector:
 
     def coeff(self, indices: Iterable[int]) -> Scalar:
         idx = tuple(indices)
-        order = tuple(sorted(idx))
-        v = self.terms.get(order)
+        v = self.terms.get(tuple(sorted(idx)))
         if v is None:
             return Scalar(0)
-        return v * _permutation_sign(idx)
+        return v if _permutation_sign(idx) > 0 else -v
 
     def __add__(self, other: MultiVector) -> MultiVector:
         terms = dict(self.terms)
@@ -298,7 +296,8 @@ def form(text: str) -> MultiVector:
     """Parse '1/2*e_12 - sqrt3*e_34 + (1 + sqrt5)*e_56 + 2'."""
     total = MultiVector()
     for sign, term, start in _split_terms(text):
-        total = total + _parse_term(term, start) * sign
+        a = _parse_term(term, start)
+        total = total + (a if sign > 0 else -a)
     return total
 
 
@@ -309,6 +308,7 @@ def _split_terms(text: str) -> list[tuple[int, str, int]]:
     open_at = -1
     cur: list[str] = []
     start = -1
+    pending = -1  # offset of an operator that no term has followed yet
 
     def flush() -> None:
         nonlocal sign, cur, start
@@ -327,15 +327,22 @@ def _split_terms(text: str) -> list[tuple[int, str, int]]:
             if depth < 0:
                 raise FormSyntaxError("unbalanced ')'", n)
         if ch in "+-" and depth == 0:
+            if ch == "+" and pending >= 0:
+                raise FormSyntaxError("'+' right after an operator", n)
             flush()
+            pending = n
             if ch == "-":
                 sign = -sign
         else:
-            if start < 0 and not ch.isspace():
-                start = n
+            if not ch.isspace():
+                pending = -1
+                if start < 0:
+                    start = n
             cur.append(ch)
     if depth:
         raise FormSyntaxError("unbalanced '('", open_at)
+    if pending >= 0:
+        raise FormSyntaxError("form ends in an operator", pending)
     flush()
     if not out:
         raise FormSyntaxError("empty form string", 0)

@@ -1,11 +1,13 @@
 """so(8) as 2-forms, the stabilizer algebra of the base spinor, and its
 catalog of subalgebras.
 
-A 2-form w corresponds to the skew matrix mat(w) whose action on vectors
-is half of the infinitesimal rotation rho(w) = 2 mat(w); the factor is
-fixed so that the Clifford commutator [act(w), act(x)] equals the Clifford
-action of the derivation of x by w, for forms and spinors alike.  The
-bracket of 2-forms is the matrix commutator pulled back through mat.
+A 2-form w acts on vectors by the infinitesimal rotation rho(w), stored as
+column images: a term c e_ij of w sends e_i to 2c e_j and e_j to -2c e_i.
+The factor 2 is fixed so that the Clifford commutator [act(w), act(x)]
+equals the Clifford action of the derivation of x by w, for forms and
+spinors alike.  The bracket of 2-forms is half that derivation,
+[a, b] = act_on_form(a, b) / 2, which is the commutator of the skew
+matrices rho(a) / 2 and rho(b) / 2.
 
 The stabilizer of BASE_SPINOR is the 21-dimensional copy of spin(7) spanned
 by SPIN7_BASIS, graded by the chain su(3) < g2 < spin(7).  algebra() builds
@@ -17,79 +19,22 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import linalg
-from .clifford import N_SPIN, Spinor, act, basis_spinor
-from .exterior import (DIM, MultiVector, _merge_sign, form, from_coords,
-                       monomials, to_coords)
+from .clifford import BASE_SPINOR, N_SPIN, Spinor, act, basis_spinor
+from .exterior import (DIM, KAHLER, MultiVector, _merge_sign, form,
+                       from_coords, monomials, to_coords)
 from .scalars import ZERO, Scalar, ScalarLike, SQRT15, add_to, rational
 
-Matrix8 = list[list[Scalar]]
-
-
-def mat(w: MultiVector) -> Matrix8:
-    """Skew matrix of a 2-form: coefficient c on e_ij lands at (j, i)."""
-    m = [[ZERO] * DIM for _ in range(DIM)]
-    for (i, j), c in w.terms.items():
-        m[i - 1][j - 1] = m[i - 1][j - 1] - c
-        m[j - 1][i - 1] = m[j - 1][i - 1] + c
-    return m
-
-
-def two_form_of(m: Matrix8) -> MultiVector:
-    terms = {}
-    for i in range(DIM):
-        for j in range(i + 1, DIM):
-            if m[j][i] != -m[i][j]:
-                raise ValueError("matrix is not skew")
-            c = m[j][i]
-            if not c.is_zero:
-                terms[(i + 1, j + 1)] = c
-    return MultiVector(terms)
-
-
-def _matmul(a: Matrix8, b: Matrix8) -> Matrix8:
-    out = [[ZERO] * DIM for _ in range(DIM)]
-    for i in range(DIM):
-        ra = a[i]
-        oi = out[i]
-        for k in range(DIM):
-            v = ra[k]
-            if v.is_zero:
-                continue
-            rb = b[k]
-            for j in range(DIM):
-                w = rb[j]
-                if not w.is_zero:
-                    oi[j] = oi[j] + v * w
-    return out
-
-
 def bracket(a: MultiVector, b: MultiVector) -> MultiVector:
-    ma, mb = mat(a), mat(b)
-    ab, ba = _matmul(ma, mb), _matmul(mb, ma)
-    comm = [[ab[i][j] - ba[i][j] for j in range(DIM)] for i in range(DIM)]
-    return two_form_of(comm)
-
-
-def act_on_vector(w: MultiVector, x: MultiVector) -> MultiVector:
-    """Infinitesimal rotation rho(w) = 2 mat(w) applied to a 1-form."""
-    m = mat(w)
-    out: dict[tuple[int, ...], Scalar] = {}
-    for (i,), c in x.terms.items():
-        for r in range(DIM):
-            v = m[r][i - 1]
-            if not v.is_zero:
-                add_to(out, (r + 1,), c * v * 2)
-    return MultiVector(out)
+    return act_on_form(a, b) * rational(1, 2)
 
 
 def act_on_form(w: MultiVector, a: MultiVector) -> MultiVector:
     """Derivation extension of the rotation rho(w) to any multivector."""
-    m = mat(w)
     cols: list[list[tuple[int, Scalar]]] = [[] for _ in range(DIM + 1)]
-    for i in range(DIM):
-        for r in range(DIM):
-            if not m[r][i].is_zero:
-                cols[i + 1].append((r + 1, m[r][i] * 2))
+    for (i, j), c in w.terms.items():
+        two_c = c * 2
+        cols[i].append((j, two_c))
+        cols[j].append((i, -two_c))
     terms: dict[tuple[int, ...], Scalar] = {}
     for idx, c in a.terms.items():
         for p, i in enumerate(idx):
@@ -105,6 +50,16 @@ def act_on_form(w: MultiVector, a: MultiVector) -> MultiVector:
     return MultiVector(terms)
 
 
+def rotation(w: MultiVector, grade: int) -> dict[int, linalg.Row]:
+    """Column images of act_on_form(w, .) on the coordinate forms of a grade."""
+    columns = {}
+    for col, idx in enumerate(monomials(grade)):
+        image = to_coords(act_on_form(w, MultiVector.monomial(idx)), grade)
+        if image:
+            columns[col] = image
+    return columns
+
+
 def is_invariant_form(generators: list[MultiVector], a: MultiVector) -> bool:
     return all(act_on_form(w, a).is_zero for w in generators)
 
@@ -114,17 +69,10 @@ def is_invariant_form(generators: list[MultiVector], a: MultiVector) -> bool:
 
 def express(target: MultiVector, basis: list[MultiVector], grade: int):
     """Coefficients of target in the span of basis, or None."""
-    cols = [to_coords(b, grade) for b in basis]
+    rows = linalg.transpose({i: to_coords(b, grade) for i, b in enumerate(basis)})
     t = to_coords(target, grade)
-    rows: dict[int, linalg.Row] = {}
-    for i, col in enumerate(cols):
-        for j, v in col.items():
-            rows.setdefault(j, {})[i] = v
-    seen = set(rows)
-    seen.update(t)
-    eqs = [rows.get(j, {}) for j in sorted(seen)]
-    rhs = [t.get(j, ZERO) for j in sorted(seen)]
-    return linalg.solve(eqs, rhs)
+    keys = sorted(set(rows) | set(t))
+    return linalg.solve([rows.get(j, {}) for j in keys], [t.get(j, ZERO) for j in keys])
 
 
 def span_dim(vectors: list[MultiVector], grade: int) -> int:
@@ -137,16 +85,11 @@ def same_span(a: list[MultiVector], b: list[MultiVector], grade: int) -> bool:
 
 
 def in_span(v: MultiVector, basis: list[MultiVector], grade: int) -> bool:
-    ech = linalg.Echelon()
-    for b in basis:
-        ech.add_row(to_coords(b, grade))
-    return ech.contains(to_coords(v, grade))
+    return linalg.in_span([to_coords(b, grade) for b in basis], to_coords(v, grade))
 
 
 def is_subalgebra(basis: list[MultiVector]) -> bool:
-    ech = linalg.Echelon()
-    for b in basis:
-        ech.add_row(to_coords(b, 2))
+    ech = linalg.echelon([to_coords(b, 2) for b in basis])
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
             if not ech.contains(to_coords(bracket(basis[i], basis[j]), 2)):
@@ -156,37 +99,27 @@ def is_subalgebra(basis: list[MultiVector]) -> bool:
 
 def invariant_forms(generators: list[MultiVector], grade: int) -> list[MultiVector]:
     """Basis of the joint kernel of act_on_form on the given grade."""
-    rows: dict[tuple[int, int], linalg.Row] = {}
-    for g, w in enumerate(generators):
-        for col, idx in enumerate(monomials(grade)):
-            out = act_on_form(w, MultiVector.monomial(idx))
-            for k, v in out.terms.items():
-                rows.setdefault((g, k), {})[col] = v
-    null = linalg.nullspace(list(rows.values()), len(monomials(grade)))
+    columns = {}
+    for col, idx in enumerate(monomials(grade)):
+        a = MultiVector.monomial(idx)
+        columns[col] = {(g, k): v for g, w in enumerate(generators)
+                        for k, v in act_on_form(w, a).terms.items()}
+    null = linalg.kernel(columns, len(monomials(grade)))
     return [from_coords(r, grade) for r in null]
 
 
 def invariant_spinors(generators: list[MultiVector]) -> list[Spinor]:
-    rows: dict[tuple[int, int], linalg.Row] = {}
-    for g, w in enumerate(generators):
-        for col in range(N_SPIN):
-            out = act(w, basis_spinor(col))
-            for k, v in out.items():
-                rows.setdefault((g, k), {})[col] = v
-    null = linalg.nullspace(list(rows.values()), N_SPIN)
-    return [dict(r) for r in null]
+    columns = {col: {(g, k): v for g, w in enumerate(generators)
+                     for k, v in act(w, basis_spinor(col)).items()}
+               for col in range(N_SPIN)}
+    return linalg.kernel(columns, N_SPIN)
 
 
 def stabilizer_in_spin7(a: MultiVector) -> list[MultiVector]:
     """Basis of {w in spin(7) : act_on_form(w, a) = 0}."""
-    images = [act_on_form(w, a) for w in SPIN7_BASIS]
-    rows: dict[tuple[int, ...], linalg.Row] = {}
-    for i, img in enumerate(images):
-        for k, v in img.terms.items():
-            rows.setdefault(k, {})[i] = v
-    null = linalg.nullspace(list(rows.values()), len(SPIN7_BASIS))
+    columns = {i: act_on_form(w, a).terms for i, w in enumerate(SPIN7_BASIS)}
     out = []
-    for r in null:
+    for r in linalg.kernel(columns, len(SPIN7_BASIS)):
         w = MultiVector()
         for i, c in r.items():
             w = w + SPIN7_BASIS[i] * c
@@ -236,7 +169,6 @@ SPIN7_BASIS: list[MultiVector] = _SU3 + _G2X + _S7X
 
 def in_stabilizer(w: MultiVector) -> bool:
     """Whether a 2-form annihilates the base spinor."""
-    from .clifford import BASE_SPINOR
     return not act(w, BASE_SPINOR)
 
 
@@ -322,25 +254,16 @@ def algebra(name: str, k: ScalarLike = 1, l: ScalarLike = 0) -> list[MultiVector
 
 @lru_cache(maxsize=None)
 def _su4() -> tuple[MultiVector, ...]:
-    """su(4) inside the base-spinor stabilizer: the 2-forms commuting with
-    the complex structure that pairs the coordinates as (12)(34)(56)(78)."""
-    from .exterior import KAHLER
-    j = mat(KAHLER)
-    grade2 = monomials(2)
-    rows: dict[object, linalg.Row] = {}
-    for col, idx in enumerate(grade2):
+    """su(4) inside the base-spinor stabilizer: the 2-forms whose rotation
+    fixes the Kaehler form of the pairing (12)(34)(56)(78), which is to
+    say commutes with its complex structure."""
+    columns = {}
+    for col, idx in enumerate(monomials(2)):
         w = MultiVector.monomial(idx)
-        m = mat(w)
-        mj, jm = _matmul(m, j), _matmul(j, m)
-        for r in range(DIM):
-            for s in range(DIM):
-                v = mj[r][s] - jm[r][s]
-                if not v.is_zero:
-                    rows.setdefault(("c", r, s), {})[col] = v
-        from .clifford import BASE_SPINOR
-        for k, v in act(w, BASE_SPINOR).items():
-            rows.setdefault(("s", k), {})[col] = v
-    null = linalg.nullspace(list(rows.values()), len(grade2))
+        image = {("form", k): v for k, v in act_on_form(w, KAHLER).terms.items()}
+        image.update((("spinor", k), v) for k, v in act(w, BASE_SPINOR).items())
+        columns[col] = image
+    null = linalg.kernel(columns, len(monomials(2)))
     return tuple(from_coords(r, 2) for r in null)
 
 

@@ -4,9 +4,16 @@ Rows are sparse dicts {column: Scalar} that store no zero, a rule that
 `scalars.add_to` keeps during elimination.  Elimination pivots on the first
 column holding a nonzero entry and keeps the form fully reduced, so ranks,
 kernels and solution sets come out in a deterministic normal form.
+
+A linear map is stored as its column images, a dict {column: Row} holding
+the image of every basis element that the map does not kill.  `apply`
+combines the columns, `transpose` turns them into the rows that
+`nullspace` and `solve` eliminate, and `kernel` does both.
 """
 
 from __future__ import annotations
+
+from collections import defaultdict
 
 from .scalars import ONE, Scalar, add_to
 
@@ -63,6 +70,29 @@ class Echelon:
 
     def contains(self, row: Row) -> bool:
         return not self.reduce(row)
+
+
+def apply(columns: dict, vec: dict) -> dict:
+    """Image of a sparse vector under the map with these column images."""
+    out: dict = {}
+    for k, v in vec.items():
+        for r, w in columns.get(k, {}).items():
+            add_to(out, r, v * w)
+    return out
+
+
+def transpose(columns: dict) -> dict:
+    """The rows {row key: {column: entry}} of a map given by its columns."""
+    rows: dict = defaultdict(dict)
+    for c, col in columns.items():
+        for r, v in col.items():
+            rows[r][c] = v
+    return dict(rows)
+
+
+def kernel(columns: dict, ncols: int) -> list[Row]:
+    """`nullspace` basis of the map with these images of columns 0..ncols-1."""
+    return nullspace(list(transpose(columns).values()), ncols)
 
 
 def echelon(rows: list[Row]) -> Echelon:

@@ -208,13 +208,15 @@ class Scalar:
         s = text.strip()
         if not s:
             raise ValueError("empty scalar string")
-        s = s.replace("-", "+-")
+        # every '-' opens a chunk, so only "+ -" and a leading sign may
+        # leave an empty one; any other empty chunk is a dangling '+'
+        chunks = s.replace("-", "+-").split("+")
         total = cls()
-        for chunk in s.split("+"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            total = total + cls._parse_term(chunk)
+        for n, chunk in enumerate(chunks):
+            if chunk.strip():
+                total = total + cls._parse_term(chunk.strip())
+            elif n and not (n + 1 < len(chunks) and chunks[n + 1].startswith("-")):
+                raise ValueError(f"dangling '+' in scalar {text!r}")
         return total
 
     @classmethod

@@ -19,8 +19,8 @@ from functools import lru_cache
 from typing import Callable, Mapping, Optional
 
 from . import linalg
-from .clifford import (N_SPIN, Spinor, act, basis_spinor, gamma_apply,
-                       spinor_eq, spinor_scale, spinor_sub)
+from .clifford import (BASE_SPINOR, N_SPIN, Spinor, act, basis_spinor,
+                       gamma_apply, spinor_scale)
 from .exterior import (CAYLEY, DIM, E, MultiVector, contract, form, hodge,
                        inner, norm_sq, sigma_t, wedge)
 from .scalars import ZERO, Scalar, ScalarLike, add_to, rational
@@ -106,23 +106,21 @@ def contraction_identity(t: MultiVector) -> bool:
 # ---------------------------------------------------------------------------
 # spinor equations
 
-def _clifford_square_minus(t: MultiVector, shift: Scalar, s: Spinor) -> Spinor:
-    """(t * t - shift) applied to a spinor via the Clifford action."""
-    out = act(t, act(t, s))
-    return spinor_sub(out, spinor_scale(s, shift))
+def _shift(t: MultiVector) -> Scalar:
+    """7 |t_8|^2, the eigenvalue of t^2 that the square condition asks for."""
+    small, _ = project_8_48(t)
+    return 7 * norm_sq(small)
 
 
-def _square_columns(t: MultiVector) -> list[Spinor]:
-    """Matrix columns of the double Clifford action of t."""
-    return [act(t, act(t, basis_spinor(k))) for k in range(N_SPIN)]
-
-
-def _combine(cols: list[Spinor], psi: Spinor) -> Spinor:
-    out: Spinor = {}
-    for k, v in psi.items():
-        for m, w in cols[k].items():
-            add_to(out, m, v * w)
-    return out
+def _square_map(t: MultiVector, shift: Scalar) -> dict[int, Spinor]:
+    """Column images of the spinor map psi -> t^2 psi - shift psi."""
+    columns = {}
+    for k in range(N_SPIN):
+        col = act(t, act(t, basis_spinor(k)))
+        add_to(col, k, -shift)
+        if col:
+            columns[k] = col
+    return columns
 
 
 def sigma_report(t: MultiVector) -> dict:
@@ -135,22 +133,17 @@ def sigma_report(t: MultiVector) -> dict:
     their invariant spinors.  Both verdicts are recorded per basis
     spinor and for the base spinor, so callers can compare the two.
     """
-    from .clifford import BASE_SPINOR
-    small, _ = project_8_48(t)
-    shift = 7 * norm_sq(small)
     sig = sigma_t(t)
     contractions = [contract(E[i], sig) for i in range(1, DIM + 1)]
-    cols = _square_columns(t)
+    square = _square_map(t, _shift(t))
 
     def square_ok(psi: Spinor) -> bool:
-        return spinor_eq(_combine(cols, psi), spinor_scale(psi, shift))
+        return not linalg.apply(square, psi)
 
     def identity_ok(psi: Spinor) -> bool:
         for i in range(1, DIM + 1):
-            xpsi = gamma_apply(i, psi)
             lhs = spinor_scale(act(contractions[i - 1], psi), Scalar(-4))
-            rhs = spinor_sub(_combine(cols, xpsi), spinor_scale(xpsi, shift))
-            if not spinor_eq(lhs, rhs):
+            if lhs != linalg.apply(square, gamma_apply(i, psi)):
                 return False
         return True
 
@@ -165,12 +158,8 @@ def sigma_report(t: MultiVector) -> dict:
 
 def square_condition_holds(t: MultiVector, spinors: list[Spinor]) -> bool:
     """First torsion equation: t^2 psi = 7 |t_8|^2 psi on given spinors."""
-    small, _ = project_8_48(t)
-    shift = 7 * norm_sq(small)
-    for psi in spinors:
-        if any(not v.is_zero for v in _clifford_square_minus(t, shift, psi).values()):
-            return False
-    return True
+    square = _square_map(t, _shift(t))
+    return not any(linalg.apply(square, psi) for psi in spinors)
 
 
 def ricci_solver(t: MultiVector,
@@ -185,10 +174,9 @@ def ricci_solver(t: MultiVector,
     """
     from .liealg import invariant_spinors
     spinors = invariant_spinors(h)
-    if not square_condition_holds(t, spinors):
+    square = _square_map(t, _shift(t))
+    if any(linalg.apply(square, psi) for psi in spinors):
         return None
-    small, _ = project_8_48(t)
-    shift = 7 * norm_sq(small)
 
     pairs = [(i, j) for i in range(1, DIM + 1) for j in range(i, DIM + 1)]
     col_of = {p: n for n, p in enumerate(pairs)}
@@ -197,7 +185,7 @@ def ricci_solver(t: MultiVector,
     for psi in spinors:
         gammas = [gamma_apply(j, psi) for j in range(1, DIM + 1)]
         for k in range(1, DIM + 1):
-            target = _clifford_square_minus(t, shift, gammas[k - 1])
+            target = linalg.apply(square, gammas[k - 1])
             slots = set(target)
             for j in range(1, DIM + 1):
                 slots.update(gammas[j - 1])

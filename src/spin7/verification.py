@@ -34,7 +34,7 @@ from .classify import (admissible_pairs, flat_operator_locus,
                        phi_from_hermitian, family_span_dims,
                        reconstruct_lie_algebra, splitting_check,
                        two_weight_vanishing_locus)
-from .liealg import (SPIN7_BASIS, act_on_vector, algebra,
+from .liealg import (SPIN7_BASIS, act_on_form, algebra,
                      bracket, express, in_span, in_stabilizer,
                      invariant_forms, invariant_spinors, is_invariant_form,
                      is_subalgebra, membership_equations, span_dim)
@@ -189,13 +189,11 @@ def suite_stabilizer(rng: random.Random) -> SuiteReport:
     rep = SuiteReport("03-stabilizer-kernel")
     rep.add("spanning set of the annihilator has dimension 21",
             span_dim(list(SPIN7_BASIS), 2) == 21)
-    rows = {}
+    columns = {}
     for pos, idx in enumerate(monomials(2)):
-        w = MultiVector.monomial(idx)
-        for eq, val in enumerate(membership_equations(w)):
-            if not val.is_zero:
-                rows.setdefault(eq, {})[pos] = val
-    null_dim = len(linalg.nullspace(list(rows.values()), len(monomials(2))))
+        eqs = membership_equations(MultiVector.monomial(idx))
+        columns[pos] = {eq: val for eq, val in enumerate(eqs) if not val.is_zero}
+    null_dim = len(linalg.kernel(columns, len(monomials(2))))
     rep.add("linear membership system has a 21-dimensional solution space",
             null_dim == 21)
     rep.add("every annihilator generator passes both membership tests",
@@ -294,7 +292,7 @@ def suite_invariants(rng: random.Random) -> SuiteReport:
             all(spinor_eq(act(w, s), {})
                 for w in so3ir for s in (diff_a, diff_b)))
     rep.add("the irreducible so(3) fixes the eighth direction",
-            all(act_on_vector(w, E[8]).is_zero for w in so3ir))
+            all(act_on_form(w, E[8]).is_zero for w in so3ir))
     seven = FAMILIES["5.1"].generators[0]
     rep.add("the top algebra fixes the 7-dim cross product form",
             is_invariant_form(algebra("g2"), seven))
@@ -309,7 +307,7 @@ def suite_invariants(rng: random.Random) -> SuiteReport:
     rep.add("the 4-dim unitary case fixes both Kaehler pieces and the cubic",
             all(is_invariant_form(u2, z) for z in (z1, z2, d_sum)))
     rep.add("the 4-dim unitary case fixes the last two directions",
-            all(act_on_vector(w, E[i]).is_zero for w in u2 for i in (7, 8)))
+            all(act_on_form(w, E[i]).is_zero for w in u2 for i in (7, 8)))
     u2_spinors = invariant_spinors(u2)
     rep.add("the 4-dim unitary case fixes the four recorded spinors",
             all(_spinor_in_span(u2_spinors, basis_spinor(k))

@@ -4,6 +4,7 @@ import sys
 from importlib import resources
 
 import jsonschema
+import pytest
 
 from spin7 import cli
 from spin7.cli import dispatch
@@ -109,6 +110,13 @@ def test_usage_errors_exit_with_2(capsys):
     assert "offset" in bad_form.diagnostics
     assert dispatch(["invariants", "--algebra", "nope",
                      "--space", "forms3"]).exit_code == 2
+    for text in ("e_12 +", "e_12 + + e_34", "(1+)*e_12"):
+        dangling = dispatch(["iso", "--form", text])
+        assert dangling.exit_code == 2
+        assert dangling.diagnostics.count("\n") == 0
+    for values in ("a1=1,b1=0,b2=0,a1=2", "a1=1+,b1=0,b2=0"):
+        assert dispatch(["ricci", "--family", "5.1",
+                         "--set", values]).exit_code == 2
 
 
 def test_verify_all_envelope_and_exit_code(monkeypatch):
@@ -155,8 +163,17 @@ def test_module_entry_point_usage_error():
 
 
 def test_cli_import_leaves_sympy_unloaded():
-    code = "import sys, spin7.cli; print('sympy' in sys.modules)"
+    code = ("import sys, spin7.cli; "
+            "print('sympy' in sys.modules, 'jsonschema' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"
+
+
+def test_json_output_is_still_validated(monkeypatch):
+    monkeypatch.setattr(cli, "_schema", lambda: {"type": "string"})
+    with pytest.raises(jsonschema.ValidationError):
+        dispatch(["iso", "--form", "e_12"])
+    md = dispatch(["iso", "--form", "e_12", "--format", "markdown"])
+    assert md.exit_code == 0

@@ -106,12 +106,17 @@ def test_parse_errors_carry_offsets():
              ("e_12)", 4),
              ("(e_12", 0),
              ("e_12*e_34", 5),
-             ("", 0)]
+             ("", 0),
+             ("e_12 +", 5),
+             ("e_12 -", 5),
+             ("e_12 + + e_34", 7),
+             ("e_12 - + e_34", 7)]
     for text, offset in cases:
         with pytest.raises(FormSyntaxError) as err:
             form(text)
         assert err.value.offset == offset
         assert f"offset {offset}" in str(err.value)
+    assert form("-e_12 + -3/2*e_135") == form("-e_12 - 3/2*e_135")
 
 
 def test_mixed_grade_coordinate_access_is_rejected():

@@ -5,7 +5,7 @@ import pytest
 from spin7.clifford import act
 from spin7.exterior import CAYLEY, E, form, inner
 from spin7.liealg import (CATALOG_NAMES, SPIN7_BASIS, act_on_form,
-                          act_on_vector, algebra, bracket,
+                          algebra, bracket,
                           express, in_span, in_stabilizer, invariant_forms,
                           invariant_spinors, iso_algebra,
                           membership_equations, span_dim, is_subalgebra)
@@ -41,8 +41,8 @@ def test_bracket_is_a_lie_bracket():
 def test_two_form_action_is_skew_on_vectors():
     w = SPIN7_BASIS[3]
     for i, j in ((1, 2), (3, 8), (5, 6)):
-        lhs = inner(act_on_vector(w, E[i]), E[j])
-        rhs = inner(E[i], act_on_vector(w, E[j]))
+        lhs = inner(act_on_form(w, E[i]), E[j])
+        rhs = inner(E[i], act_on_form(w, E[j]))
         assert lhs == -1 * rhs
 
 

@@ -57,3 +57,17 @@ def test_matvec_applies_sparse_rows():
     out = [dot(row, {0: rational(1, 2), 1: Scalar(3)}) for row in rows]
     assert out[0] == Scalar(6)
     assert out[1] == rational(1, 2)
+
+
+def test_column_maps_apply_transpose_and_kernel():
+    # the map with columns (1, 3), (2, 4), (3, 7) and the zero column
+    columns = {0: {0: Scalar(1), 1: Scalar(3)}, 1: {0: Scalar(2), 1: Scalar(4)},
+               2: {0: Scalar(3), 1: Scalar(7)}}
+    assert linalg.transpose(columns) == {0: {0: Scalar(1), 1: Scalar(2), 2: Scalar(3)},
+                                         1: {0: Scalar(3), 1: Scalar(4), 2: Scalar(7)}}
+    assert linalg.transpose(linalg.transpose(columns)) == columns
+    assert linalg.apply(columns, {0: Scalar(1), 1: Scalar(1), 2: Scalar(-1)}) == {}
+    assert linalg.apply(columns, {1: rational(1, 2), 3: Scalar(5)}) == \
+        {0: Scalar(1), 1: Scalar(2)}
+    assert linalg.kernel(columns, 4) == [{2: Scalar(1), 0: Scalar(-1), 1: Scalar(-1)},
+                                         {3: Scalar(1)}]

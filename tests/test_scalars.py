@@ -71,9 +71,11 @@ def test_string_round_trip():
 
 
 def test_parse_rejects_garbage():
-    for text in ("", "sqrt7", "1//2", "2**2", "sqrt3 sqrt5"):
+    for text in ("", "sqrt7", "1//2", "2**2", "sqrt3 sqrt5", "1+", "1 + + 2",
+                 "+"):
         with pytest.raises(ValueError):
             Scalar.parse(text)
+    assert Scalar.parse("-1 + -sqrt3") == Scalar.parse("-1 - sqrt3")
 
 
 def test_exact_sign_determination():
