@@ -21,8 +21,8 @@ from collections import defaultdict
 from functools import lru_cache
 
 from . import linalg
-from .exterior import (DIM, E, MultiVector, _monomial_index, evaluate,
-                       from_coords, monomials, sigma_t, to_coords)
+from .exterior import (DIM, MultiVector, _monomial_index, from_coords,
+                       monomials, sigma_t, to_coords)
 from .liealg import SPIN7_BASIS, algebra, rotation
 from .scalars import ZERO, Scalar, ScalarLike, SQRT15, add_to, rational
 from .structure import FAMILIES, Params, TorsionFamily
@@ -107,8 +107,9 @@ def cyclic_residue(r: CurvatureTensor, t: MultiVector | None = None) -> bool:
     """Whether sum_cyc R(X, Y, Z, V) matches the 4-form of the torsion.
 
     With t omitted the plain first Bianchi identity is checked.  With a
-    parallel torsion t the cyclic sum must equal the evaluation of
-    sigma_t(t); the constant in front is 1 in the conventions used here.
+    parallel torsion t the cyclic sum must equal sigma_t(t)(X, Y, Z, V),
+    the coefficient of e_ijkv in the determinant convention; the constant
+    in front is 1 in the conventions used here.
     """
     sig = sigma_t(t) if t is not None else None
     for i in range(1, DIM + 1):
@@ -119,7 +120,7 @@ def cyclic_residue(r: CurvatureTensor, t: MultiVector | None = None) -> bool:
                            + r.entry(j, k, i, v)
                            + r.entry(k, i, j, v))
                     if sig is not None:
-                        tot = tot - evaluate(sig, [E[i], E[j], E[k], E[v]])
+                        tot = tot - sig.coeff((i, j, k, v))
                     if not tot.is_zero:
                         return False
     return True

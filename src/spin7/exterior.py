@@ -311,10 +311,11 @@ def _split_terms(text: str) -> list[tuple[int, str, int]]:
     pending = -1  # offset of an operator that no term has followed yet
 
     def flush() -> None:
+        # the sign carries over an empty term, so "- -e_12" is e_12
         nonlocal sign, cur, start
         if "".join(cur).strip():
             out.append((sign, "".join(cur).strip(), start))
-        sign = 1
+            sign = 1
         cur = []
         start = -1
 

@@ -19,6 +19,7 @@ RationalLike = Union[int, Fraction]
 ScalarLike = Union["Scalar", int, Fraction]
 
 _FRACTION_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_F0 = Fraction(0)
 
 
 class Scalar:
@@ -32,6 +33,15 @@ class Scalar:
         self.b = Fraction(b)
         self.c = Fraction(c)
         self.d = Fraction(d)
+
+    @classmethod
+    def _of(cls, a: Fraction, b: Fraction = _F0, c: Fraction = _F0,
+            d: Fraction = _F0) -> Scalar:
+        """The Scalar with these Fraction coordinates, taken as they are;
+        every arithmetic result is built here, skipping `__init__`."""
+        x = object.__new__(cls)
+        x.a, x.b, x.c, x.d = a, b, c, d
+        return x
 
     @classmethod
     def coerce(cls, x: ScalarLike) -> Scalar:
@@ -55,10 +65,14 @@ class Scalar:
         return self.a
 
     def __add__(self, other: ScalarLike) -> Scalar:
-        if not isinstance(other, (Scalar, int, Fraction)):
-            return NotImplemented
-        o = Scalar.coerce(other)
-        return Scalar(self.a + o.a, self.b + o.b, self.c + o.c, self.d + o.d)
+        if isinstance(other, Scalar):
+            if self.b or self.c or self.d or other.b or other.c or other.d:
+                return Scalar._of(self.a + other.a, self.b + other.b,
+                                  self.c + other.c, self.d + other.d)
+            return Scalar._of(self.a + other.a)
+        if isinstance(other, (int, Fraction)):
+            return Scalar._of(self.a + other, self.b, self.c, self.d)
+        return NotImplemented
 
     __radd__ = __add__
 
@@ -66,7 +80,7 @@ class Scalar:
         if not isinstance(other, (Scalar, int, Fraction)):
             return NotImplemented
         o = Scalar.coerce(other)
-        return Scalar(self.a - o.a, self.b - o.b, self.c - o.c, self.d - o.d)
+        return Scalar._of(self.a - o.a, self.b - o.b, self.c - o.c, self.d - o.d)
 
     def __rsub__(self, other: ScalarLike) -> Scalar:
         if not isinstance(other, (Scalar, int, Fraction)):
@@ -74,16 +88,22 @@ class Scalar:
         return Scalar.coerce(other) - self
 
     def __neg__(self) -> Scalar:
-        return Scalar(-self.a, -self.b, -self.c, -self.d)
+        return Scalar._of(-self.a, -self.b, -self.c, -self.d)
 
     def __mul__(self, other: ScalarLike) -> Scalar:
-        if not isinstance(other, (Scalar, int, Fraction)):
+        if isinstance(other, Scalar):
+            if not (other.b or other.c or other.d):
+                return self._scale(other.a)
+            if not (self.b or self.c or self.d):
+                return other._scale(self.a)
+        elif isinstance(other, (int, Fraction)):
+            return self._scale(other)
+        else:
             return NotImplemented
-        o = Scalar.coerce(other)
         a1, b1, c1, d1 = self.a, self.b, self.c, self.d
-        a2, b2, c2, d2 = o.a, o.b, o.c, o.d
+        a2, b2, c2, d2 = other.a, other.b, other.c, other.d
         # sqrt3*sqrt5 = sqrt15, sqrt3*sqrt15 = 3*sqrt5, sqrt5*sqrt15 = 5*sqrt3
-        return Scalar(
+        return Scalar._of(
             a1 * a2 + 3 * b1 * b2 + 5 * c1 * c2 + 15 * d1 * d2,
             a1 * b2 + b1 * a2 + 5 * (c1 * d2 + d1 * c2),
             a1 * c2 + c1 * a2 + 3 * (b1 * d2 + d1 * b2),
@@ -92,23 +112,31 @@ class Scalar:
 
     __rmul__ = __mul__
 
+    def _scale(self, r: RationalLike) -> Scalar:
+        """self * r for a rational r: one product if self is rational too."""
+        if self.b or self.c or self.d:
+            return Scalar._of(self.a * r, self.b * r, self.c * r, self.d * r)
+        return Scalar._of(self.a * r)
+
     def conj3(self) -> Scalar:
         """Galois conjugate sending sqrt3 -> -sqrt3."""
-        return Scalar(self.a, -self.b, self.c, -self.d)
+        return Scalar._of(self.a, -self.b, self.c, -self.d)
 
     def conj5(self) -> Scalar:
         """Galois conjugate sending sqrt5 -> -sqrt5."""
-        return Scalar(self.a, self.b, -self.c, -self.d)
+        return Scalar._of(self.a, self.b, -self.c, -self.d)
 
     def inverse(self) -> Scalar:
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero Scalar")
+        if not (self.b or self.c or self.d):
+            return Scalar._of(1 / self.a)
         # norm down the tower: x * conj5(x) lies in Q(sqrt3)
         y = self * self.conj5()
         z = y * y.conj3()          # rational
         num = self.conj5() * y.conj3()
         n = z.a
-        return Scalar(num.a / n, num.b / n, num.c / n, num.d / n)
+        return Scalar._of(num.a / n, num.b / n, num.c / n, num.d / n)
 
     def __truediv__(self, other: ScalarLike) -> Scalar:
         if not isinstance(other, (Scalar, int, Fraction)):
@@ -117,7 +145,7 @@ class Scalar:
         if o.is_rational:
             if o.a == 0:
                 raise ZeroDivisionError("division by zero Scalar")
-            return Scalar(self.a / o.a, self.b / o.a, self.c / o.a, self.d / o.a)
+            return Scalar._of(self.a / o.a, self.b / o.a, self.c / o.a, self.d / o.a)
         return self * o.inverse()
 
     def __rtruediv__(self, other: ScalarLike) -> Scalar:

@@ -119,6 +119,13 @@ def test_parse_errors_carry_offsets():
     assert form("-e_12 + -3/2*e_135") == form("-e_12 - 3/2*e_135")
 
 
+def test_a_double_minus_is_a_plus():
+    assert form("e_12 - -e_34") == form("e_12 + e_34")
+    assert form("- -e_12") == form("e_12")
+    assert form("e_12 + -3/2*e_135") == form("e_12 - 3/2*e_135")
+    assert form("e_12 - -(1 + sqrt3)*e_34") == form("e_12 + (1 + sqrt3)*e_34")
+
+
 def test_mixed_grade_coordinate_access_is_rejected():
     with pytest.raises(ValueError):
         to_coords(form("e_12 + e_123"), 2)

@@ -2,8 +2,9 @@
 
 The reference implementations below are the earlier dense and dyad
 forms, kept here only as oracles: a curvature operator applied as a sum
-of dyads, the bracket as a commutator of dense skew 8x8 matrices, and the
-rotation of a vector read off that matrix.
+of dyads, the torsion term of the cyclic identity evaluated by four
+contractions, the bracket as a commutator of dense skew 8x8 matrices, and
+the rotation of a vector read off that matrix.
 """
 
 from functools import lru_cache
@@ -12,8 +13,10 @@ from unittest import mock
 from hypothesis import given, settings, strategies as st
 
 from spin7 import curvature
-from spin7.curvature import CurvatureTensor, dyad
-from spin7.exterior import DIM, MultiVector, inner, monomials, to_coords
+from spin7.curvature import (CurvatureTensor, build_rc, case_family,
+                             cyclic_residue, dyad)
+from spin7.exterior import (DIM, E, MultiVector, evaluate, inner, monomials,
+                            sigma_t, to_coords)
 from spin7.liealg import act_on_form, algebra, bracket
 from spin7.scalars import SQRT3, ZERO, Scalar, add_to, rational
 
@@ -21,6 +24,10 @@ _VALUES = [Scalar(1), Scalar(2), rational(1, 2), SQRT3, 1 + SQRT3]
 coeffs = st.sampled_from(_VALUES + [-v for v in _VALUES])
 two_forms = st.dictionaries(st.sampled_from(monomials(2)), coeffs,
                             max_size=6).map(MultiVector)
+three_forms = st.dictionaries(st.sampled_from(monomials(3)), coeffs,
+                              min_size=1, max_size=4).map(MultiVector)
+four_forms = st.dictionaries(st.sampled_from(monomials(4)), coeffs,
+                             max_size=12).map(MultiVector)
 vectors = st.dictionaries(st.integers(1, DIM).map(lambda i: (i,)), coeffs,
                           max_size=4).map(MultiVector)
 quadruples = st.lists(st.tuples(*[st.integers(1, DIM)] * 4), min_size=1, max_size=12)
@@ -42,6 +49,21 @@ def dyad_apply(pieces, a: MultiVector) -> MultiVector:
 def dyad_entry(pieces, i, j, k, l) -> Scalar:
     image = dyad_apply(pieces, MultiVector.monomial((i, j)))
     return inner(image, MultiVector.monomial((k, l)))
+
+
+def evaluated_cyclic_residue(r: CurvatureTensor, t: MultiVector | None) -> bool:
+    """cyclic_residue with sigma_t(t) evaluated on each quadruple."""
+    sig = sigma_t(t) if t is not None else None
+    for i in range(1, DIM + 1):
+        for j in range(i + 1, DIM + 1):
+            for k in range(j + 1, DIM + 1):
+                for v in range(1, DIM + 1):
+                    tot = r.entry(i, j, k, v) + r.entry(j, k, i, v) + r.entry(k, i, j, v)
+                    if sig is not None:
+                        tot = tot - evaluate(sig, [E[i], E[j], E[k], E[v]])
+                    if not tot.is_zero:
+                        return False
+    return True
 
 
 def mat(w: MultiVector) -> list[list[Scalar]]:
@@ -96,6 +118,40 @@ def test_dyad_built_columns_match_the_dyad_sum(raw, a, quads):
     assert tensor.apply(a) == dyad_apply(pieces, a)
     assert tensor.is_zero == all(dyad_apply(pieces, MultiVector.monomial(m)).is_zero
                                  for m in monomials(2))
+
+
+@examples
+@given(four_forms, quadruples)
+def test_a_coefficient_is_the_evaluation_on_basis_vectors(sig, quads):
+    for q in quads:
+        assert sig.coeff(q) == evaluate(sig, [E[x] for x in q])
+
+
+# the first golden sample of four curvature cases; each passes the
+# torsion-corrected identity and fails the plain one
+_CASES = {"5.1.1": {"a1": 1, "b1": 2, "b2": 3},
+          "5.2.2": {"a1": 1},
+          "5.3.1-I": {"a1": 1, "a2": 1, "b1": 1},
+          "5.3.1-II": {"a1": 1, "a2": 1, "b1": 1}}
+
+
+@examples
+@given(st.sampled_from(sorted(_CASES)), dyads,
+       st.sampled_from(["none", "own", "twice", "drawn"]), three_forms)
+def test_cyclic_residue_matches_the_evaluated_torsion(case, raw, torsion, drawn):
+    params = {k: Scalar(v) for k, v in _CASES[case].items()}
+    own = case_family(case, params).torsion(params)
+    t = {"none": None, "own": own, "twice": own * 2, "drawn": drawn}[torsion]
+    rc = build_rc(case, params)
+    columns = {m: dict(col) for m, col in rc.columns.items()}
+    extra = CurvatureTensor.from_dyads([dyad(c, left, right) for c, left, right in raw])
+    for m, col in extra.columns.items():
+        for n, v in col.items():
+            add_to(columns.setdefault(m, {}), n, v)
+    perturbed = CurvatureTensor(columns)
+    for r in (rc, perturbed):
+        assert cyclic_residue(r, t) == evaluated_cyclic_residue(r, t)
+    assert cyclic_residue(rc, own) and not cyclic_residue(rc)
 
 
 @lru_cache(maxsize=None)

@@ -1,0 +1,51 @@
+"""Deterministic work counts on one curvature case.
+
+Call counts, unlike timers, are free of noise, so a change that brings
+back redundant work fails here.  Each counted function is wrapped in
+every `spin7` module namespace that holds it, so a function imported by
+name into another module is counted too.
+"""
+
+import sys
+
+from spin7 import exterior
+from spin7.curvature import CurvatureTensor, build_rc, case_family, cyclic_residue
+
+CASE = "5.3.1-I"
+PARAMS = {"a1": 1, "a2": 2, "b1": 3}
+
+
+def _count_calls(monkeypatch, owners, name):
+    """Wrap `name` wherever one of `owners` or a spin7 module holds it."""
+    original = getattr(owners[0], name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    holders = list(owners) + [mod for key, mod in sys.modules.items()
+                              if key.startswith("spin7.")]
+    for holder in holders:
+        if vars(holder).get(name) is original:
+            monkeypatch.setattr(holder, name, counted)
+    return calls
+
+
+def test_cyclic_residue_contracts_only_inside_sigma_t(monkeypatch):
+    rc = build_rc(CASE, PARAMS)
+    t = case_family(CASE, PARAMS).torsion(PARAMS)
+    calls = _count_calls(monkeypatch, [exterior], "contract")
+    assert cyclic_residue(rc, t)
+    # sigma_t contracts once per basis vector; the 448 quadruples read
+    # coefficients of the 4-form
+    assert len(calls) <= exterior.DIM
+
+
+def test_ricci_and_cyclic_residue_never_apply_the_operator(monkeypatch):
+    rc = build_rc(CASE, PARAMS)
+    t = case_family(CASE, PARAMS).torsion(PARAMS)
+    calls = _count_calls(monkeypatch, [CurvatureTensor], "apply")
+    rc.ricci()
+    assert cyclic_residue(rc, t)
+    assert calls == []
