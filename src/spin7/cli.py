@@ -21,9 +21,10 @@ from pathlib import Path
 
 from .classify import admissible_pairs, reconstruct_lie_algebra
 from .curvature import CASE_HOLONOMY, build_rc, case_family, cyclic_residue
-from .exterior import FormSyntaxError, _format_coeff, form, format_form
-from .liealg import algebra, invariant_forms, invariant_spinors, iso_algebra
-from .scalars import SQRT3, Scalar, rational
+from .exterior import form, format_form, format_terms
+from .liealg import (algebra, algebra_by_label, invariant_forms,
+                     invariant_spinors, iso_algebra)
+from .scalars import SQRT3, ParseError, Scalar, rational
 from .structure import FAMILIES, diagonal, is_diagonal, ricci_solver
 from .verification import run_all, write_golden
 
@@ -46,18 +47,16 @@ def _resolve_algebra(label: str) -> tuple[str, list]:
     """Catalog lookup, case-insensitive, accepting slope labels "t1[1,0]"."""
     name = label.strip().lower()
     try:
-        if "[" in name:
-            base, rest = name.split("[", 1)
-            parts = [p.strip() for p in rest.rstrip("]").split(",")]
-            if len(parts) != 2:
-                raise UsageError(f"bad slope in algebra label {label!r}")
-            k, l = (Scalar.parse(p) for p in parts)
-            return f"{base}[{parts[0]},{parts[1]}]", algebra(base, k, l)
-        return name, algebra(name)
+        gens = algebra_by_label(name)
     except KeyError:
         raise UsageError(f"unknown algebra {label!r}") from None
     except ValueError as exc:
         raise UsageError(f"bad algebra label {label!r}: {exc}") from None
+    base, bracket, rest = name.partition("[")
+    if bracket:  # the display label drops the blanks around the slope
+        slope = (p.strip() for p in rest.rstrip("]").split(","))
+        name = f"{base}[{','.join(slope)}]"
+    return name, gens
 
 
 def _parse_set(text: str) -> dict[str, Scalar]:
@@ -86,19 +85,6 @@ def _match_key(arg: str, keys: list[str], kind: str) -> str:
             return key
     raise UsageError(
         f"unknown {kind} {arg!r}; choose from {', '.join(keys)}")
-
-
-def _format_spinor(s: dict[int, Scalar]) -> str:
-    if not s:
-        return "0"
-    chunks = []
-    for k in sorted(s):
-        body, negative = _format_coeff(s[k], f"psi{k + 1}")
-        if not chunks:
-            chunks.append(f"-{body}" if negative else body)
-        else:
-            chunks.append(f"- {body}" if negative else f"+ {body}")
-    return " ".join(chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +118,8 @@ def _cmd_invariants(ns) -> tuple:
         forms = invariant_forms(gens, 3)
         basis = [format_form(a) for a in forms]
     else:
-        basis = [_format_spinor(s) for s in invariant_spinors(gens)]
+        basis = [format_terms((f"psi{k + 1}", v) for k, v in sorted(s.items()))
+                 for s in invariant_spinors(gens)]
     payload = {"algebra": label, "space": ns.space,
                "dim": len(basis), "basis": basis}
     return True, payload, [], None
@@ -241,7 +228,7 @@ def _cmd_reconstruct(ns) -> tuple:
 def _cmd_iso(ns) -> tuple:
     try:
         a = form(ns.form)
-    except FormSyntaxError as exc:
+    except ParseError as exc:
         raise UsageError(f"--form: {exc}") from None
     name, basis = iso_algebra(a)
     payload = {"form": format_form(a), "algebra": name, "dim": len(basis),

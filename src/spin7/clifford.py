@@ -114,9 +114,5 @@ def spinor_scale(x: Spinor, factor: ScalarLike) -> Spinor:
     return {k: v * f for k, v in x.items()}
 
 
-def spinor_eq(x: Spinor, y: Spinor) -> bool:
-    return spinor_sub(x, y) == {}
-
-
 # spinor annihilated by the distinguished spin(7) subalgebra
 BASE_SPINOR: Spinor = {8: Scalar(1), 9: Scalar(-1)}

@@ -14,17 +14,14 @@ that rule.
 from __future__ import annotations
 
 import itertools
-import re
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .scalars import Scalar, ScalarLike, add_to, dot
+from .scalars import Scalar, ScalarLike, add_to, dot, parse_terms
 
 DIM = 8
 Index = tuple[int, ...]
-
-_MONOMIAL_RE = re.compile(r"^e_([1-8]+)$")
 
 
 def _merge_sign(left: Index, right: Index) -> tuple[Index, int]:
@@ -70,10 +67,6 @@ class MultiVector:
             return cls()
         c = Scalar.coerce(coeff)
         return cls({tuple(sorted(idx)): c if _permutation_sign(idx) > 0 else -c})
-
-    @classmethod
-    def scalar(cls, value: ScalarLike) -> MultiVector:
-        return cls({(): Scalar.coerce(value)})
 
     @property
     def is_zero(self) -> bool:
@@ -254,147 +247,31 @@ def from_coords(row: dict[int, Scalar], grade: int) -> MultiVector:
 # string round-trip
 
 def format_form(a: MultiVector) -> str:
-    if not a.terms:
-        return "0"
+    return format_terms(("e_" + "".join(map(str, k)) if k else "", v) for k, v in a)
+
+
+def format_terms(terms: Iterable[tuple[str, Scalar]]) -> str:
+    """'c*x - d*y + ...' of (label, coefficient) pairs, in the grammar that
+    `form` reads, with '' labelling a scalar; '0' for no pairs."""
     chunks = []
-    for k, v in sorted(a.terms.items(), key=lambda kv: (len(kv[0]), kv[0])):
-        mono = "e_" + "".join(str(i) for i in k) if k else ""
-        body, negative = _format_coeff(v, mono)
-        if not chunks:
-            chunks.append(f"-{body}" if negative else body)
-        else:
+    for label, v in terms:
+        # a coefficient with one coordinate shows its sign outside
+        single = sum(1 for x in (v.a, v.b, v.c, v.d) if x) == 1
+        negative = single and v.sign() < 0
+        body = str(-v if negative else v) if single else f"({v})"
+        if label:
+            body = label if body == "1" else f"{body}*{label}"
+        if chunks:
             chunks.append(f"- {body}" if negative else f"+ {body}")
-    return " ".join(chunks)
-
-
-def _format_coeff(v: Scalar, mono: str) -> tuple[str, bool]:
-    single = sum(1 for x in (v.a, v.b, v.c, v.d) if x != 0) == 1
-    if single:
-        neg = v.sign() < 0
-        mag = -v if neg else v
-        s = str(mag)
-        if not mono:
-            return s, neg
-        if s == "1":
-            return mono, neg
-        return f"{s}*{mono}", neg
-    s = str(v)
-    if not mono:
-        return f"({s})", False
-    return f"({s})*{mono}", False
-
-
-class FormSyntaxError(ValueError):
-    """Malformed form string; offset locates the problem in the input."""
-
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (at offset {offset})")
-        self.offset = offset
+        else:
+            chunks.append(f"-{body}" if negative else body)
+    return " ".join(chunks) or "0"
 
 
 def form(text: str) -> MultiVector:
     """Parse '1/2*e_12 - sqrt3*e_34 + (1 + sqrt5)*e_56 + 2'."""
-    total = MultiVector()
-    for sign, term, start in _split_terms(text):
-        a = _parse_term(term, start)
-        total = total + (a if sign > 0 else -a)
-    return total
-
-
-def _split_terms(text: str) -> list[tuple[int, str, int]]:
-    out = []
-    depth = 0
-    sign = 1
-    open_at = -1
-    cur: list[str] = []
-    start = -1
-    pending = -1  # offset of an operator that no term has followed yet
-
-    def flush() -> None:
-        # the sign carries over an empty term, so "- -e_12" is e_12
-        nonlocal sign, cur, start
-        if "".join(cur).strip():
-            out.append((sign, "".join(cur).strip(), start))
-            sign = 1
-        cur = []
-        start = -1
-
-    for n, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-            open_at = n
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise FormSyntaxError("unbalanced ')'", n)
-        if ch in "+-" and depth == 0:
-            if ch == "+" and pending >= 0:
-                raise FormSyntaxError("'+' right after an operator", n)
-            flush()
-            pending = n
-            if ch == "-":
-                sign = -sign
-        else:
-            if not ch.isspace():
-                pending = -1
-                if start < 0:
-                    start = n
-            cur.append(ch)
-    if depth:
-        raise FormSyntaxError("unbalanced '('", open_at)
-    if pending >= 0:
-        raise FormSyntaxError("form ends in an operator", pending)
-    flush()
-    if not out:
-        raise FormSyntaxError("empty form string", 0)
-    return out
-
-
-def _parse_term(term: str, base: int) -> MultiVector:
-    parts: list[tuple[str, int]] = []
-    depth = 0
-    cur: list[str] = []
-    start = 0
-
-    def flush(end: int) -> None:
-        nonlocal cur, start
-        parts.append(("".join(cur).strip(), base + start))
-        cur = []
-        start = end + 1
-
-    for n, ch in enumerate(term):
-        if ch == "(":
-            depth += 1
-        if ch == ")":
-            depth -= 1
-        if ch == "*" and depth == 0:
-            flush(n)
-        else:
-            cur.append(ch)
-    flush(len(term))
-    coeff = Scalar(1)
-    mono: Index | None = None
-    for p, at in parts:
-        if not p:
-            raise FormSyntaxError("empty factor", at)
-        m = _MONOMIAL_RE.match(p)
-        if m:
-            if mono is not None:
-                raise FormSyntaxError("two monomials in one term", at)
-            digits = [int(ch) for ch in m.group(1)]
-            if len(set(digits)) != len(digits):
-                raise FormSyntaxError(f"repeated index in {p!r}", at)
-            mono = tuple(digits)
-        else:
-            if p.startswith("(") and p.endswith(")"):
-                p = p[1:-1]
-            try:
-                coeff = coeff * Scalar.parse(p)
-            except ValueError:
-                raise FormSyntaxError(f"bad coefficient {p!r}", at) from None
-    if mono is None:
-        return MultiVector.scalar(coeff)
-    return MultiVector.monomial(mono, coeff)
+    terms = parse_terms(text)
+    return sum((MultiVector.monomial(k, v) for k, v in terms.items()), MultiVector())
 
 
 # ---------------------------------------------------------------------------
@@ -407,9 +284,6 @@ KAHLER = form("e_12 + e_34 + e_56 + e_78")
 CPLX_VOL_RE = form(
     "e_1357 - e_2457 - e_2367 - e_2358 - e_1467 - e_1458 - e_1368 + e_2468"
 )
-
-# associative 3-form of the standard G2 structure on span(e_1..e_7)
-G2_FORM = form("e_127 + e_347 + e_567 + e_246 - e_235 - e_145 - e_136")
 
 # self-dual Cayley 4-form whose stabilizer is the Spin(7) fixed throughout
 CAYLEY = wedge(KAHLER, KAHLER) * Fraction(1, 2) + CPLX_VOL_RE

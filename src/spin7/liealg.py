@@ -252,6 +252,17 @@ def algebra(name: str, k: ScalarLike = 1, l: ScalarLike = 0) -> list[MultiVector
     return [gen]
 
 
+def algebra_by_label(label: str) -> list[MultiVector]:
+    """`algebra` by name, or by "t1[k,l]" for the line of slope (k, l)."""
+    name, bracket, rest = label.partition("[")
+    if not bracket:
+        return algebra(name)
+    slope = rest.rstrip("]").split(",")
+    if len(slope) != 2:
+        raise ValueError(f"a slope label holds two values, got {label!r}")
+    return algebra(name, *map(Scalar.parse, slope))
+
+
 @lru_cache(maxsize=None)
 def _su4() -> tuple[MultiVector, ...]:
     """su(4) inside the base-spinor stabilizer: the 2-forms whose rotation

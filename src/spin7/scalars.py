@@ -18,7 +18,6 @@ from typing import Union
 RationalLike = Union[int, Fraction]
 ScalarLike = Union["Scalar", int, Fraction]
 
-_FRACTION_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 _F0 = Fraction(0)
 
 
@@ -233,42 +232,7 @@ class Scalar:
     @classmethod
     def parse(cls, text: str) -> Scalar:
         """Inverse of __str__; accepts e.g. '1/2 - 3*sqrt5 + sqrt15'."""
-        s = text.strip()
-        if not s:
-            raise ValueError("empty scalar string")
-        # every '-' opens a chunk, so only "+ -" and a leading sign may
-        # leave an empty one; any other empty chunk is a dangling '+'
-        chunks = s.replace("-", "+-").split("+")
-        total = cls()
-        for n, chunk in enumerate(chunks):
-            if chunk.strip():
-                total = total + cls._parse_term(chunk.strip())
-            elif n and not (n + 1 < len(chunks) and chunks[n + 1].startswith("-")):
-                raise ValueError(f"dangling '+' in scalar {text!r}")
-        return total
-
-    @classmethod
-    def _parse_term(cls, term: str) -> Scalar:
-        negate = False
-        if term.startswith("-"):
-            negate = True
-            term = term[1:].strip()
-        pieces = [p.strip() for p in term.split("*")]
-        coeff = Fraction(1)
-        root = ""
-        for p in pieces:
-            if p in ("sqrt3", "sqrt5", "sqrt15"):
-                if root:
-                    raise ValueError(f"two roots in term {term!r}")
-                root = p
-            elif _FRACTION_RE.match(p):
-                coeff *= Fraction(p)
-            else:
-                raise ValueError(f"bad scalar term {term!r}")
-        if negate:
-            coeff = -coeff
-        slot = {"": "a", "sqrt3": "b", "sqrt5": "c", "sqrt15": "d"}[root]
-        return cls(**{slot: coeff})
+        return parse_terms(text, scalar=True).get((), ZERO)
 
 
 def _sign_fraction(x: Fraction) -> int:
@@ -340,3 +304,129 @@ def dot(x: dict, y: dict) -> Scalar:
         if w is not None:
             total = total + v * w
     return total
+
+
+# ---------------------------------------------------------------------------
+# the one grammar of scalar and form strings
+
+class ParseError(ValueError):
+    """Malformed scalar or form string; offset locates the fault."""
+
+    def __init__(self, message: str, offset: int) -> None:
+        super().__init__(f"{message} (at offset {offset})")
+        self.offset = offset
+
+
+# a number n or n/m, a monomial, a root, an operator, or else a word or
+# character the grammar does not know; blanks only separate tokens
+_TOKEN_RE = re.compile(
+    r"(\d+)(?:/(\d+))?|e_([1-8]+)\b|(sqrt15|sqrt3|sqrt5)\b|([-+*()])|(\w+|\S)")
+_ROOTS = {"sqrt3": SQRT3, "sqrt5": SQRT5, "sqrt15": SQRT15}
+
+
+def parse_terms(text: str, scalar: bool = False) -> dict[tuple[int, ...], Scalar]:
+    """The zero-free map {indices as written: coefficient} of a string in
+
+        sum     := "+"? signed (("+" | "-") signed)*
+        signed  := "-"* product
+        product := factor ("*" factor)*      -- at most one monomial
+        factor  := n | n/m | sqrt3 | sqrt5 | sqrt15
+                 | e_<distinct digits 1..8> | "(" sum ")"  -- no monomial in ( )
+
+    with () keying the scalar part; a `scalar` string holds no monomial.  A
+    syntax error raises ParseError; a zero denominator raises
+    ZeroDivisionError once the whole string has parsed, so that a syntax
+    error anywhere is reported first.
+    """
+    parser = _Parser(text, scalar)
+    terms = parser.sum()
+    parser.expect("end")
+    if parser.zero:
+        raise ZeroDivisionError(f"zero denominator in {parser.zero!r}")
+    return terms
+
+
+class _Parser:
+    """Recursive descent over the tokens (kind, term, offset, text) of one
+    string; kind is "n" for a number, root or monomial, whose term is its
+    (indices, coefficient) pair, "end", or the operator itself."""
+
+    def __init__(self, text: str, scalar: bool) -> None:
+        self.tokens: list[tuple] = []
+        self.zero = ""  # the first n/0, raised after the syntax check
+        self.depth = int(scalar)  # a scalar string reads as if inside ( )
+        self.pos = 0
+        opened: list[int] = []
+        for m in _TOKEN_RE.finditer(text):
+            num, den, digits, root, op, bad = m.groups()
+            at, kind, term = m.start(), op or "n", ((), ZERO)
+            if bad:
+                raise ParseError(f"unexpected {bad!r}", at)
+            if root:
+                term = ((), _ROOTS[root])
+            elif digits:
+                term = (tuple(map(int, digits)), ONE)
+                if len(set(digits)) < len(digits):
+                    raise ParseError(f"repeated index in {m.group()!r}", at)
+            elif op == "(":
+                opened.append(at)
+            elif op == ")":
+                if not opened:
+                    raise ParseError("unbalanced ')'", at)
+                opened.pop()
+            elif den and not int(den):
+                self.zero = self.zero or m.group()
+            elif num:
+                term = ((), Scalar._of(Fraction(int(num), int(den or 1))))
+            self.tokens.append((kind, term, at, m.group()))
+        if opened:
+            raise ParseError("unbalanced '('", opened[0])
+        # an unexpected end is reported at the last token, the dangling one
+        self.tokens.append(("end", None, self.tokens[-1][2] if self.tokens else 0, ""))
+
+    def take(self, kind: str) -> bool:
+        found = self.tokens[self.pos][0] == kind
+        self.pos += found
+        return found
+
+    def expect(self, kind: str) -> None:
+        if not self.take(kind):
+            _, _, at, text = self.tokens[self.pos]
+            raise ParseError("unexpected " + (repr(text) if text else "end of string"), at)
+
+    def sum(self) -> dict[tuple[int, ...], Scalar]:
+        terms: dict[tuple[int, ...], Scalar] = {}
+        self.take("+")
+        while True:
+            # a binary '-' is left to the next signed term: a - b = a + -b
+            sign = 1
+            while self.take("-"):
+                sign = -sign
+            key, value = self.product()
+            add_to(terms, key, value if sign > 0 else -value)
+            if not (self.take("+") or self.tokens[self.pos][0] == "-"):
+                return terms
+
+    def product(self) -> tuple:
+        key, value = self.factor()
+        while self.take("*"):
+            at = self.tokens[self.pos][2]
+            k, v = self.factor()
+            if k and key:
+                raise ParseError("two monomials in one term", at)
+            key, value = key or k, value * v
+        return key, value
+
+    def factor(self) -> tuple:
+        kind, term, at, text = self.tokens[self.pos]
+        if kind == "n":
+            if term[0] and self.depth:
+                raise ParseError(f"monomial {text!r} where a scalar belongs", at)
+            self.pos += 1
+            return term
+        self.expect("(")
+        self.depth += 1
+        inner = self.sum()
+        self.depth -= 1
+        self.expect(")")
+        return (), inner.get((), ZERO)

@@ -25,7 +25,7 @@ from typing import Callable, Iterable
 
 from . import linalg
 from .clifford import (BASE_SPINOR, N_SPIN, act, basis_spinor, gamma_apply,
-                       spinor_add, spinor_eq, spinor_scale, spinor_sub)
+                       spinor_add, spinor_scale, spinor_sub)
 from .curvature import (CASE_HOLONOMY, bianchi_dim_positive, build_rc,
                         cyclic_residue, vanishing_constraints)
 from .exterior import (CAYLEY, DIM, E, VOL, MultiVector, contract, evaluate,
@@ -34,7 +34,7 @@ from .classify import (admissible_pairs, flat_operator_locus,
                        phi_from_hermitian, family_span_dims,
                        reconstruct_lie_algebra, splitting_check,
                        two_weight_vanishing_locus)
-from .liealg import (SPIN7_BASIS, act_on_form, algebra,
+from .liealg import (SPIN7_BASIS, act_on_form, algebra, algebra_by_label,
                      bracket, express, in_span, in_stabilizer,
                      invariant_forms, invariant_spinors, is_invariant_form,
                      is_subalgebra, membership_equations, span_dim)
@@ -105,15 +105,6 @@ def _parse_diag(raw: list) -> list[Scalar]:
     return [Scalar.parse(v) for v in raw]
 
 
-def _algebra_by_label(label: str) -> list[MultiVector]:
-    """Resolve names like "t1[1,0]" that carry an explicit line slope."""
-    if "[" in label:
-        name, rest = label.split("[", 1)
-        k_str, l_str = rest.rstrip("]").split(",")
-        return algebra(name, Scalar.parse(k_str), Scalar.parse(l_str))
-    return algebra(label)
-
-
 # ---------------------------------------------------------------------------
 # random sampling helpers
 
@@ -173,7 +164,7 @@ def suite_calibration(rng: random.Random) -> SuiteReport:
     out = act(CAYLEY, BASE_SPINOR)
     want = spinor_scale(BASE_SPINOR, Scalar(-14))
     rep.add("calibration form acts on the base spinor with weight -14",
-            spinor_eq(out, want))
+            out == want)
     rep.add("calibration form is self dual", hodge(CAYLEY) == CAYLEY)
     constant = Scalar.parse(
         load_golden("families.json")["constants"]["calibration_square"])
@@ -255,10 +246,6 @@ _SPINOR_DIMS = {"spin7": 1, "g2": 2, "su3": 4, "so3ir": 2, "su2": 8,
                 "r+su2": 2, "zero": 16}
 
 
-def _spinor_in_span(basis: list[dict], target: dict) -> bool:
-    return linalg.in_span([dict(s) for s in basis], dict(target))
-
-
 def suite_invariants(rng: random.Random) -> SuiteReport:
     """Dimensions of invariant 3-forms and spinors, and the fixed objects
     attached to the reducible holonomy cases."""
@@ -279,17 +266,17 @@ def suite_invariants(rng: random.Random) -> SuiteReport:
 
     su3_inv = invariant_spinors(algebra("su3"))
     rep.add("the four fixed spinors of the 8-dim case lie in its kernel",
-            all(_spinor_in_span(su3_inv, basis_spinor(k))
+            all(linalg.in_span(su3_inv, basis_spinor(k))
                 for k in (0, 1, 8, 9)))
     rsu2_inv = invariant_spinors(algebra("r+su2"))
     rep.add("the two fixed spinors of the product case lie in its kernel",
-            all(_spinor_in_span(rsu2_inv, basis_spinor(k)) for k in (8, 9)))
+            all(linalg.in_span(rsu2_inv, basis_spinor(k)) for k in (8, 9)))
 
     so3ir = algebra("so3ir")
     diff_a = spinor_sub(basis_spinor(0), basis_spinor(1))
     diff_b = spinor_sub(basis_spinor(8), basis_spinor(9))
     rep.add("the irreducible so(3) fixes the two spinor differences",
-            all(spinor_eq(act(w, s), {})
+            all(act(w, s) == {}
                 for w in so3ir for s in (diff_a, diff_b)))
     rep.add("the irreducible so(3) fixes the eighth direction",
             all(act_on_form(w, E[8]).is_zero for w in so3ir))
@@ -310,7 +297,7 @@ def suite_invariants(rng: random.Random) -> SuiteReport:
             all(act_on_form(w, E[i]).is_zero for w in u2 for i in (7, 8)))
     u2_spinors = invariant_spinors(u2)
     rep.add("the 4-dim unitary case fixes the four recorded spinors",
-            all(_spinor_in_span(u2_spinors, basis_spinor(k))
+            all(linalg.in_span(u2_spinors, basis_spinor(k))
                 for k in (0, 1, 8, 9)))
     return rep
 
@@ -467,7 +454,7 @@ def suite_curvature(rng: random.Random) -> SuiteReport:
                     sol is not None and diagonal(sol) == want)
     for case, table in data["constraints"].items():
         for label in sorted(table):
-            h = _algebra_by_label(label)
+            h = algebra_by_label(label)
             want = tuple(table[label])
             got = vanishing_constraints(case, h)
             rep.add(f"case {case} weight constraints under {label}",

@@ -1,6 +1,5 @@
 from spin7.clifford import (BASE_SPINOR, N_SPIN, act, basis_spinor,
-                            gamma_apply, spinor_add, spinor_eq, spinor_scale,
-                            spinor_sub)
+                            gamma_apply, spinor_add, spinor_scale, spinor_sub)
 from spin7.exterior import CAYLEY, DIM, form
 from spin7.scalars import Scalar, dot, rational
 
@@ -9,8 +8,8 @@ def test_generators_square_to_minus_one():
     for i in range(1, DIM + 1):
         for k in range(N_SPIN):
             s = basis_spinor(k)
-            assert spinor_eq(gamma_apply(i, gamma_apply(i, s)),
-                             spinor_scale(s, Scalar(-1)))
+            assert gamma_apply(i, gamma_apply(i, s)) == \
+                spinor_scale(s, Scalar(-1))
 
 
 def test_distinct_generators_anticommute():
@@ -19,7 +18,7 @@ def test_distinct_generators_anticommute():
             s = basis_spinor(k)
             lhs = gamma_apply(i, gamma_apply(j, s))
             rhs = gamma_apply(j, gamma_apply(i, s))
-            assert spinor_eq(spinor_add(lhs, rhs), {})
+            assert spinor_add(lhs, rhs) == {}
 
 
 def test_basis_spinors_are_orthonormal():
@@ -33,17 +32,16 @@ def test_form_action_composes_generator_actions():
     s = basis_spinor(5)
     via_form = act(form("e_27"), s)
     via_gammas = gamma_apply(2, gamma_apply(7, s))
-    assert spinor_eq(via_form, via_gammas)
+    assert via_form == via_gammas
     mixed = act(form("e_135 + 2*e_2"), s)
     by_hand = spinor_add(
         gamma_apply(1, gamma_apply(3, gamma_apply(5, s))),
         spinor_scale(gamma_apply(2, s), Scalar(2)))
-    assert spinor_eq(mixed, by_hand)
+    assert mixed == by_hand
 
 
 def test_base_spinor_is_calibrated():
-    assert spinor_eq(act(CAYLEY, BASE_SPINOR),
-                     spinor_scale(BASE_SPINOR, Scalar(-14)))
+    assert act(CAYLEY, BASE_SPINOR) == spinor_scale(BASE_SPINOR, Scalar(-14))
 
 
 def test_spinor_arithmetic_helpers():

@@ -2,12 +2,13 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from spin7.exterior import (CAYLEY, DIM, E, KAHLER, VOL, FormSyntaxError,
-                            MultiVector, contract, evaluate, form,
-                            format_form, from_coords, hodge, inner, monomials,
-                            norm_sq, sigma_t, to_coords, wedge)
-from spin7.scalars import SQRT3, Scalar, rational
+from spin7.exterior import (CAYLEY, DIM, E, KAHLER, VOL, MultiVector,
+                            contract, evaluate, form, format_form,
+                            format_terms, from_coords, hodge, inner,
+                            monomials, norm_sq, sigma_t, to_coords, wedge)
+from spin7.scalars import SQRT3, ParseError, Scalar, rational
 
 
 def _random_form(rng, grade, terms=6):
@@ -112,7 +113,7 @@ def test_parse_errors_carry_offsets():
              ("e_12 + + e_34", 7),
              ("e_12 - + e_34", 7)]
     for text, offset in cases:
-        with pytest.raises(FormSyntaxError) as err:
+        with pytest.raises(ParseError) as err:
             form(text)
         assert err.value.offset == offset
         assert f"offset {offset}" in str(err.value)
@@ -124,6 +125,48 @@ def test_a_double_minus_is_a_plus():
     assert form("- -e_12") == form("e_12")
     assert form("e_12 + -3/2*e_135") == form("e_12 - 3/2*e_135")
     assert form("e_12 - -(1 + sqrt3)*e_34") == form("e_12 + (1 + sqrt3)*e_34")
+
+
+_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+field_elements = st.tuples(*[_rationals] * 4).map(lambda c: Scalar(*c))
+any_forms = st.dictionaries(
+    st.sampled_from([m for k in range(DIM + 1) for m in monomials(k)]),
+    field_elements, max_size=6).map(MultiVector)
+scalar_strings = st.recursive(
+    st.sampled_from(["0", "2", "3/4", "1/0", "sqrt3", "sqrt5", "sqrt15",
+                     "sqrt7", ""]),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from([" + ", " - ", "*", " - -", "+-"]),
+                  inner).map("".join),
+        inner.map(lambda s: f"({s})"),
+        inner.map(lambda s: f"-{s}")),
+    max_leaves=8)
+
+
+@settings(deadline=None, max_examples=200)
+@given(any_forms)
+def test_printed_forms_and_coefficients_read_back(a):
+    assert form(format_form(a)) == a
+    for v in a.terms.values():
+        assert Scalar.parse(format_terms([("", v)])) == v
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except (ParseError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+@settings(deadline=None, max_examples=200)
+@given(scalar_strings)
+def test_a_scalar_string_reads_alike_alone_in_a_form_and_as_a_coefficient(text):
+    value = _outcome(Scalar.parse, text)
+    failed = isinstance(value, type)
+    assert _outcome(form, text) == (
+        value if failed else MultiVector({(): value}))
+    assert _outcome(form, f"({text})*e_12") == (
+        value if failed else MultiVector.monomial((1, 2), value))
 
 
 def test_mixed_grade_coordinate_access_is_rejected():

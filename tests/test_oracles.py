@@ -1,12 +1,16 @@
-"""Column-form operators against the representations they replaced.
+"""Column-form operators and the string grammar against the code they
+replaced.
 
 The reference implementations below are the earlier dense and dyad
 forms, kept here only as oracles: a curvature operator applied as a sum
 of dyads, the torsion term of the cyclic identity evaluated by four
 contractions, the bracket as a commutator of dense skew 8x8 matrices, and
-the rotation of a vector read off that matrix.
+the rotation of a vector read off that matrix.  The two hand-split
+parsers of scalar and form strings are kept the same way.
 """
 
+import re
+from fractions import Fraction
 from functools import lru_cache
 from unittest import mock
 
@@ -15,10 +19,10 @@ from hypothesis import given, settings, strategies as st
 from spin7 import curvature
 from spin7.curvature import (CurvatureTensor, build_rc, case_family,
                              cyclic_residue, dyad)
-from spin7.exterior import (DIM, E, MultiVector, evaluate, inner, monomials,
-                            sigma_t, to_coords)
+from spin7.exterior import (DIM, E, MultiVector, evaluate, form, inner,
+                            monomials, sigma_t, to_coords)
 from spin7.liealg import act_on_form, algebra, bracket
-from spin7.scalars import SQRT3, ZERO, Scalar, add_to, rational
+from spin7.scalars import SQRT3, ZERO, ParseError, Scalar, add_to, rational
 
 _VALUES = [Scalar(1), Scalar(2), rational(1, 2), SQRT3, 1 + SQRT3]
 coeffs = st.sampled_from(_VALUES + [-v for v in _VALUES])
@@ -205,3 +209,247 @@ def test_bracket_is_the_matrix_commutator(a, b):
 @given(two_forms, vectors)
 def test_rotation_of_a_vector_matches_the_skew_matrix(w, x):
     assert act_on_form(w, x) == act_on_vector(w, x)
+
+
+# ---------------------------------------------------------------------------
+# scalar and form strings: the two hand-split parsers that the one grammar
+# replaced, copied verbatim except that form reads a parenthesised
+# coefficient with its `scalar_parse` argument (Scalar.parse by default)
+# and that `MultiVector.scalar(c)` is spelled out
+
+_FRACTION_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_MONOMIAL_RE = re.compile(r"^e_([1-8]+)$")
+
+
+def ref_scalar_parse(text: str) -> Scalar:
+    """Inverse of __str__; accepts e.g. '1/2 - 3*sqrt5 + sqrt15'."""
+    s = text.strip()
+    if not s:
+        raise ValueError("empty scalar string")
+    # every '-' opens a chunk, so only "+ -" and a leading sign may
+    # leave an empty one; any other empty chunk is a dangling '+'
+    chunks = s.replace("-", "+-").split("+")
+    total = Scalar()
+    for n, chunk in enumerate(chunks):
+        if chunk.strip():
+            total = total + _ref_scalar_term(chunk.strip())
+        elif n and not (n + 1 < len(chunks) and chunks[n + 1].startswith("-")):
+            raise ValueError(f"dangling '+' in scalar {text!r}")
+    return total
+
+
+def _ref_scalar_term(term: str) -> Scalar:
+    negate = False
+    if term.startswith("-"):
+        negate = True
+        term = term[1:].strip()
+    pieces = [p.strip() for p in term.split("*")]
+    coeff = Fraction(1)
+    root = ""
+    for p in pieces:
+        if p in ("sqrt3", "sqrt5", "sqrt15"):
+            if root:
+                raise ValueError(f"two roots in term {term!r}")
+            root = p
+        elif _FRACTION_RE.match(p):
+            coeff *= Fraction(p)
+        else:
+            raise ValueError(f"bad scalar term {term!r}")
+    if negate:
+        coeff = -coeff
+    slot = {"": "a", "sqrt3": "b", "sqrt5": "c", "sqrt15": "d"}[root]
+    return Scalar(**{slot: coeff})
+
+
+class FormSyntaxError(ValueError):
+    """Malformed form string; offset locates the problem in the input."""
+
+    def __init__(self, message: str, offset: int):
+        super().__init__(f"{message} (at offset {offset})")
+        self.offset = offset
+
+
+def ref_form(text: str, scalar_parse=ref_scalar_parse) -> MultiVector:
+    """Parse '1/2*e_12 - sqrt3*e_34 + (1 + sqrt5)*e_56 + 2'."""
+    total = MultiVector()
+    for sign, term, start in _split_terms(text):
+        a = _ref_form_term(term, start, scalar_parse)
+        total = total + (a if sign > 0 else -a)
+    return total
+
+
+def _split_terms(text: str) -> list[tuple[int, str, int]]:
+    out = []
+    depth = 0
+    sign = 1
+    open_at = -1
+    cur: list[str] = []
+    start = -1
+    pending = -1  # offset of an operator that no term has followed yet
+
+    def flush() -> None:
+        # the sign carries over an empty term, so "- -e_12" is e_12
+        nonlocal sign, cur, start
+        if "".join(cur).strip():
+            out.append((sign, "".join(cur).strip(), start))
+            sign = 1
+        cur = []
+        start = -1
+
+    for n, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+            open_at = n
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                raise FormSyntaxError("unbalanced ')'", n)
+        if ch in "+-" and depth == 0:
+            if ch == "+" and pending >= 0:
+                raise FormSyntaxError("'+' right after an operator", n)
+            flush()
+            pending = n
+            if ch == "-":
+                sign = -sign
+        else:
+            if not ch.isspace():
+                pending = -1
+                if start < 0:
+                    start = n
+            cur.append(ch)
+    if depth:
+        raise FormSyntaxError("unbalanced '('", open_at)
+    if pending >= 0:
+        raise FormSyntaxError("form ends in an operator", pending)
+    flush()
+    if not out:
+        raise FormSyntaxError("empty form string", 0)
+    return out
+
+
+def _ref_form_term(term: str, base: int, scalar_parse) -> MultiVector:
+    parts: list[tuple[str, int]] = []
+    depth = 0
+    cur: list[str] = []
+    start = 0
+
+    def flush(end: int) -> None:
+        nonlocal cur, start
+        parts.append(("".join(cur).strip(), base + start))
+        cur = []
+        start = end + 1
+
+    for n, ch in enumerate(term):
+        if ch == "(":
+            depth += 1
+        if ch == ")":
+            depth -= 1
+        if ch == "*" and depth == 0:
+            flush(n)
+        else:
+            cur.append(ch)
+    flush(len(term))
+    coeff = Scalar(1)
+    mono: tuple[int, ...] | None = None
+    for p, at in parts:
+        if not p:
+            raise FormSyntaxError("empty factor", at)
+        m = _MONOMIAL_RE.match(p)
+        if m:
+            if mono is not None:
+                raise FormSyntaxError("two monomials in one term", at)
+            digits = [int(ch) for ch in m.group(1)]
+            if len(set(digits)) != len(digits):
+                raise FormSyntaxError(f"repeated index in {p!r}", at)
+            mono = tuple(digits)
+        else:
+            parse = ref_scalar_parse
+            if p.startswith("(") and p.endswith(")"):
+                p, parse = p[1:-1], scalar_parse
+            try:
+                coeff = coeff * parse(p)
+            except ValueError:
+                raise FormSyntaxError(f"bad coefficient {p!r}", at) from None
+    if mono is None:
+        return MultiVector({(): coeff})
+    return MultiVector.monomial(mono, coeff)
+
+
+# The named widening: the parent's Scalar.parse rejected parentheses,
+# repeated unary minus and products of roots, all of which its form read
+# outside parentheses, and form read the inside of parentheses with
+# Scalar.parse.  The one grammar reads scalar strings and parenthesised
+# coefficients with form's own language.  The widened references below are
+# the parent's form with exactly that change.
+
+def wide_scalar(text: str) -> Scalar:
+    if "e_" in text:
+        raise ValueError(f"monomial in scalar {text!r}")
+    return ref_form(text, wide_scalar).coeff(())
+
+
+def wide_form(text: str) -> MultiVector:
+    return ref_form(text, wide_scalar)
+
+
+SYNTAX, ZERO_DENOMINATOR = "syntax error", "zero denominator"
+
+
+def _new_outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError:
+        return SYNTAX
+    except ZeroDivisionError:
+        return ZERO_DENOMINATOR
+
+
+def _ref_outcome(parse, text):
+    """A reference meets a zero denominator before a later syntax error;
+    the string with "/1" for every zero denominator tells which it has."""
+    try:
+        return parse(text)
+    except ZeroDivisionError:
+        try:
+            parse(re.sub(r"/0+(?!\d)", "/1", text))
+        except ValueError:
+            return SYNTAX
+        return ZERO_DENOMINATOR
+    except ValueError:
+        return SYNTAX
+
+
+# tokens of both parsers, with repeated and out-of-range indices, zero
+# denominators and words neither knows; adjacent tokens may fuse
+_WORDS = ["0", "1", "2", "12", "3/4", "6/4", "1/0", "0/0", "sqrt3", "sqrt5",
+          "sqrt15", "sqrt7", "e_12", "e_21", "e_135", "e_1355", "e_19", "e_",
+          "e_1x"]
+_ALPHABET = _WORDS + ["+", "-", "*", "(", ")", " ", " ", "/", "x"]
+token_strings = st.lists(st.sampled_from(_ALPHABET), max_size=12).map("".join)
+expressions = st.recursive(
+    st.sampled_from(_WORDS + [""]),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from([" + ", " - ", "*", "+-", " - -", "-"]),
+                  inner).map("".join),
+        inner.map(lambda s: f"({s})"),
+        inner.map(lambda s: f"-{s}")),
+    max_leaves=8)
+parser_examples = settings(deadline=None, max_examples=400)
+
+
+@parser_examples
+@given(st.one_of(token_strings, expressions))
+def test_scalar_strings_match_the_parent_parser_up_to_the_widening(text):
+    new = _new_outcome(Scalar.parse, text)
+    old = _ref_outcome(ref_scalar_parse, text)
+    assert new == _ref_outcome(wide_scalar, text)
+    assert new == old or old == SYNTAX
+
+
+@parser_examples
+@given(st.one_of(token_strings, expressions))
+def test_form_strings_match_the_parent_parser_up_to_the_widening(text):
+    new = _new_outcome(form, text)
+    old = _ref_outcome(ref_form, text)
+    assert new == _ref_outcome(wide_form, text)
+    assert new == old or old == SYNTAX
