@@ -22,10 +22,9 @@ from typing import Optional, Sequence
 
 from . import linalg
 from .curvature import (CurvatureTensor, bianchi_dim_positive, build_rc,
-                        case_weights, invariant_ricci_family,
-                        ricci_span_contains)
+                        case_weights, invariant_ricci_family, ricci_row)
 from .exterior import (DIM, E, MultiVector, contract, evaluate, form,
-                       inner, to_coords, wedge)
+                       inner, wedge)
 from .liealg import algebra, bracket, express, in_span
 from .scalars import ONE, SQRT3, ZERO, Scalar, ScalarLike, add_to, rational
 from .structure import FAMILIES, ricci_solver
@@ -265,7 +264,7 @@ def _decide(iso: str, hol_key, h: list[MultiVector], label: str) -> Classificati
     knz = _knz(name)
     fam_id = row["family"]
 
-    if h and not all(in_span(w, g, 2) for w in h):
+    if h and not all(in_span(w, g) for w in h):
         raise ValueError(f"{label} is not a subalgebra of {iso}")
 
     spec = row["admissible"].get(hol_key)
@@ -315,7 +314,8 @@ def _decide(iso: str, hol_key, h: list[MultiVector], label: str) -> Classificati
         if sol is None:
             reason = "Ricci system inconsistent (scaling)"
         else:
-            if ricci_span_contains(invariant_ricci_family(h), sol):
+            family = [ricci_row(ric) for ric in invariant_ricci_family(h)]
+            if linalg.in_span(family, ricci_row(sol)):
                 raise AssertionError(f"invariant family matched for ({iso}, {label})")
             reason = ("solved Ricci lies outside the invariant symmetric "
                       "operator family")
@@ -592,22 +592,21 @@ def reconstruct_lie_algebra(t: MultiVector, r: Optional[CurvatureTensor],
     def h_coords(w: MultiVector) -> dict[int, Scalar]:
         if w.is_zero:
             return {}
-        sol = express(w, h, 2)
+        sol = express(w, h)
         if sol is None:
             raise ValueError("curvature value escapes the holonomy span")
-        return {key: v for key, v in sol.items() if not v.is_zero}
+        return sol
 
     def vec_entry(d: int, c: Scalar, co: dict[int, Scalar]) -> None:
         if c.is_zero:
             return
         if d not in pos:
             raise ValueError(f"bracket leaves the chosen directions at e{d}")
-        co[nh + pos[d]] = co.get(nh + pos[d], ZERO) + c
+        add_to(co, nh + pos[d], c)
 
     structure: dict[tuple[int, int], dict[int, Scalar]] = {}
 
     def put(i: int, j: int, co: dict[int, Scalar]) -> None:
-        co = {key: v for key, v in co.items() if not v.is_zero}
         if co:
             structure[(i, j)] = co
 
@@ -638,8 +637,8 @@ def reconstruct_lie_algebra(t: MultiVector, r: Optional[CurvatureTensor],
             for k in range(j + 1, n):
                 tot: dict[int, Scalar] = {}
                 for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    inner_br = alg.bracket_vec({a: Scalar(1)}, {b: Scalar(1)})
-                    for m, v in alg.bracket_vec(inner_br, {c: Scalar(1)}).items():
+                    inner_br = alg.bracket_vec({a: ONE}, {b: ONE})
+                    for m, v in alg.bracket_vec(inner_br, {c: ONE}).items():
                         add_to(tot, m, v)
                 if tot:
                     failures.append((i, j, k))
@@ -696,7 +695,7 @@ def splitting_check(t: MultiVector, plus: list[MultiVector],
     """
     if len(plus) + len(minus) != DIM:
         raise ValueError("the two spans must complement each other")
-    if linalg.rank([to_coords(v, 1) for v in plus + minus]) != DIM:
+    if linalg.rank([v.terms for v in plus + minus]) != DIM:
         raise ValueError("the combined spans do not fill the model space")
     for p in plus:
         for m in minus:
@@ -715,10 +714,10 @@ def splitting_check(t: MultiVector, plus: list[MultiVector],
             if not slot(p, m).is_zero:
                 holds = False
     for side in (plus, minus):
-        rows = [to_coords(v, 1) for v in side]
+        rows = [v.terms for v in side]
         for a in range(len(side)):
             for b in range(a + 1, len(side)):
-                if not linalg.in_span(rows, to_coords(slot(side[a], side[b]), 1)):
+                if not linalg.in_span(rows, slot(side[a], side[b]).terms):
                     holds = False
     if holds and t != t_plus + t_minus:
         holds = False
@@ -763,5 +762,5 @@ def family_span_dims() -> dict[str, int]:
         "u2": list(FAMILIES["5.3-I"].generators) + list(FAMILIES["5.3-II"].generators),
         "r+su2": list(FAMILIES["5.4"].generators),
     }
-    return {name: linalg.rank([to_coords(gen, 3) for gen in gens])
+    return {name: linalg.rank([gen.terms for gen in gens])
             for name, gens in cases.items()}

@@ -45,18 +45,12 @@ class CommandResult:
 
 def _resolve_algebra(label: str) -> tuple[str, list]:
     """Catalog lookup, case-insensitive, accepting slope labels "t1[1,0]"."""
-    name = label.strip().lower()
     try:
-        gens = algebra_by_label(name)
+        return algebra_by_label(label.strip().lower())
     except KeyError:
         raise UsageError(f"unknown algebra {label!r}") from None
     except ValueError as exc:
         raise UsageError(f"bad algebra label {label!r}: {exc}") from None
-    base, bracket, rest = name.partition("[")
-    if bracket:  # the display label drops the blanks around the slope
-        slope = (p.strip() for p in rest.rstrip("]").split(","))
-        name = f"{base}[{','.join(slope)}]"
-    return name, gens
 
 
 def _parse_set(text: str) -> dict[str, Scalar]:
@@ -185,10 +179,8 @@ def _cmd_curvature(ns) -> tuple:
 def _structure_json(rec) -> dict:
     out = {}
     for (i, j), row in sorted(rec.structure.items()):
-        live = {rec.labels[k]: str(v)
-                for k, v in sorted(row.items()) if not v.is_zero}
-        if live:
-            out[f"[{rec.labels[i]},{rec.labels[j]}]"] = live
+        out[f"[{rec.labels[i]},{rec.labels[j]}]"] = {
+            rec.labels[k]: str(v) for k, v in sorted(row.items())}
     return out
 
 

@@ -1,7 +1,8 @@
 """Algebraic curvature operators valued in a subalgebra.
 
 A curvature operator here is a linear map on 2-forms, stored as the
-images of the 28 coordinate 2-forms (`linalg` column form), so an entry
+images of the 28 coordinate 2-forms (`linalg` column form, keyed by the
+index pairs (i, j) of `MultiVector.terms`), so an entry
 R(e_i, e_j, e_k, e_l) is a lookup.  The closed-form operators are written
 as sums of dyads coeff * left * <right, .> and expanded into columns once.
 The module provides the first Bianchi solver (with and without operator
@@ -21,8 +22,7 @@ from collections import defaultdict
 from functools import lru_cache
 
 from . import linalg
-from .exterior import (DIM, MultiVector, _monomial_index, from_coords,
-                       monomials, sigma_t, to_coords)
+from .exterior import DIM, Index, MultiVector, monomials, sigma_t
 from .liealg import SPIN7_BASIS, algebra, rotation
 from .scalars import ZERO, Scalar, ScalarLike, SQRT15, add_to, rational
 from .structure import FAMILIES, Params, TorsionFamily
@@ -32,27 +32,26 @@ Dyad = tuple[Scalar, MultiVector, MultiVector]
 
 class CurvatureTensor:
     """Operator on 2-forms stored as its nonzero column images
-    {m: coordinates of R(e_m)} over the coordinate 2-forms e_m."""
+    {m: R(e_m).terms} over the coordinate 2-forms e_m, m = (i, j)."""
 
     __slots__ = ("columns",)
 
-    def __init__(self, columns: dict[int, linalg.Row]):
+    def __init__(self, columns: dict[Index, linalg.Row]):
         self.columns = {m: col for m, col in columns.items() if col}
 
     @classmethod
     def from_dyads(cls, pieces: list[Dyad]) -> CurvatureTensor:
         """The operator sum c * left * <right, .> over the dyads."""
-        columns: dict[int, linalg.Row] = defaultdict(dict)
+        columns: dict[Index, linalg.Row] = defaultdict(dict)
         for c, left, right in pieces:
-            lcoords = to_coords(left, 2)
-            for m, rv in to_coords(right, 2).items():
+            for m, rv in right.terms.items():
                 weight = c * rv
-                for n, lv in lcoords.items():
+                for n, lv in left.terms.items():
                     add_to(columns[m], n, weight * lv)
         return cls(columns)
 
     def apply(self, a: MultiVector) -> MultiVector:
-        return from_coords(linalg.apply(self.columns, to_coords(a, 2)), 2)
+        return MultiVector(linalg.apply(self.columns, a.terms))
 
     def entry(self, i: int, j: int, k: int, l: int) -> Scalar:
         """The 4-tensor value on basis vectors, R(e_i, e_j, e_k, e_l)."""
@@ -70,14 +69,14 @@ class CurvatureTensor:
         return not self.columns
 
     def range_inside(self, h: list[MultiVector]) -> bool:
-        span = linalg.echelon([to_coords(w, 2) for w in h])
+        span = linalg.echelon([w.terms for w in h])
         return all(span.contains(col) for col in self.columns.values())
 
     def invariant_under(self, h: list[MultiVector]) -> bool:
         """Whether the operator commutes with the rotations from h."""
         for w in h:
             rot = rotation(w, 2)
-            for m in range(len(monomials(2))):
+            for m in monomials(2):
                 lhs = linalg.apply(rot, self.columns.get(m, {}))
                 if lhs != linalg.apply(self.columns, rot.get(m, {})):
                     return False
@@ -93,10 +92,9 @@ class CurvatureTensor:
         return out
 
 
-def _pair(i: int, j: int) -> tuple[int, int]:
-    """Coordinate index and sign of e_i ^ e_j for i != j."""
-    index = _monomial_index(2)
-    return (index[(i, j)], 1) if i < j else (index[(j, i)], -1)
+def _pair(i: int, j: int) -> tuple[Index, int]:
+    """Key and sign of e_i ^ e_j for i != j."""
+    return ((i, j), 1) if i < j else ((j, i), -1)
 
 
 def dyad(c: ScalarLike, left: MultiVector, right: MultiVector | None = None) -> Dyad:
@@ -251,32 +249,35 @@ CASE_HOLONOMY = {
 # ---------------------------------------------------------------------------
 # spaces of algebraic curvature operators
 #
-# An operator into span(h) is the vector x with R = sum x[m * nh + a]
-# h_a <e_m, .> over the coordinate 2-forms e_m and the nh members h_a.
+# An operator into span(h) is the vector x with R = sum x[(m, a)] h_a <e_m, .>
+# over the coordinate 2-forms e_m and the members h_a of h.
 
-def _symmetry_rows(hcoords: list[linalg.Row]) -> list[linalg.Row]:
+def _unknowns(h: list[MultiVector]) -> list[tuple[Index, int]]:
+    return [(m, a) for m in monomials(2) for a in range(len(h))]
+
+
+def _symmetry_rows(h: list[MultiVector]) -> list[linalg.Row]:
     """The rows <R(e_m), e_n> = <R(e_n), e_m> for m < n."""
-    nmon, nh = len(monomials(2)), len(hcoords)
+    mons = monomials(2)
     rows: list[linalg.Row] = []
-    for m in range(nmon):
-        for n in range(m + 1, nmon):
+    for p, m in enumerate(mons):
+        for n in mons[p + 1:]:
             row: linalg.Row = {}
-            for a, ha in enumerate(hcoords):
-                if n in ha:
-                    row[m * nh + a] = ha[n]
-                if m in ha:
-                    row[n * nh + a] = -ha[m]
+            for a, w in enumerate(h):
+                if n in w.terms:
+                    row[(m, a)] = w.terms[n]
+                if m in w.terms:
+                    row[(n, a)] = -w.terms[m]
             if row:
                 rows.append(row)
     return rows
 
 
-def _operator(sol: linalg.Row, hcoords: list[linalg.Row]) -> CurvatureTensor:
-    """The operator of a solution vector x: column m is sum_a x[m, a] h_a."""
-    columns: dict[int, linalg.Row] = defaultdict(dict)
-    for key, c in sol.items():
-        m, a = divmod(key, len(hcoords))
-        for n, v in hcoords[a].items():
+def _operator(sol: linalg.Row, h: list[MultiVector]) -> CurvatureTensor:
+    """The operator of a solution vector x: column m is sum_a x[(m, a)] h_a."""
+    columns: dict[Index, linalg.Row] = defaultdict(dict)
+    for (m, a), c in sol.items():
+        for n, v in h[a].terms.items():
             add_to(columns[m], n, c * v)
     return CurvatureTensor(columns)
 
@@ -288,29 +289,28 @@ def bianchi_space(h: list[MultiVector], symmetric: bool = True) -> list[Curvatur
     cyclic-sum kernel.  Both dimensions are worth reporting since the
     displayed definition of the space fixes only the cyclic condition.
     """
-    nh = len(h)
-    if nh == 0:
+    if not h:
         return []
-    hcoords = [to_coords(w, 2) for w in h]
     rows: list[linalg.Row] = []
     for i in range(1, DIM + 1):
         for j in range(i + 1, DIM + 1):
             for k in range(j + 1, DIM + 1):
                 for v in range(1, DIM + 1):
-                    # sum_cyc <R(e_x ^ e_y), e_z ^ e_v> with R(e_m) = sum_a x[m, a] h_a
+                    # sum_cyc <R(e_x ^ e_y), e_z ^ e_v> with R(e_m) = sum_a x[(m, a)] h_a
                     row: linalg.Row = {}
                     for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j)):
                         if z == v:
                             continue
                         (m, s), (n, t) = _pair(x, y), _pair(z, v)
-                        for a, ha in enumerate(hcoords):
-                            if n in ha:
-                                add_to(row, m * nh + a, ha[n] if s == t else -ha[n])
+                        for a, w in enumerate(h):
+                            c = w.terms.get(n)
+                            if c is not None:
+                                add_to(row, (m, a), c if s == t else -c)
                     if row:
                         rows.append(row)
     if symmetric:
-        rows += _symmetry_rows(hcoords)
-    return [_operator(sol, hcoords) for sol in linalg.nullspace(rows, len(monomials(2)) * nh)]
+        rows += _symmetry_rows(h)
+    return [_operator(sol, h) for sol in linalg.nullspace(rows, _unknowns(h))]
 
 
 @lru_cache(maxsize=None)
@@ -336,45 +336,29 @@ def bianchi_dim_positive(name: str) -> bool:
     return len(bianchi_space(h, symmetric=False)) > 0
 
 
+def ricci_row(ric: list[list[Scalar]]) -> linalg.Row:
+    """A Ricci tensor as a sparse row keyed by its index pairs (i, j)."""
+    return {(i, j): v for i, line in enumerate(ric) for j, v in enumerate(line)
+            if not v.is_zero}
+
+
 def invariant_ricci_family(h: list[MultiVector]) -> list[list[list[Scalar]]]:
     """Basis of Ricci tensors of symmetric h-invariant operators into
     span(h)."""
-    nmon = len(monomials(2))
-    nh = len(h)
-    if nh == 0:
+    if not h:
         return []
-    hcoords = [to_coords(w, 2) for w in h]
-    rows = _symmetry_rows(hcoords)
+    rows = _symmetry_rows(h)
     # invariance rows: act(w, S(e_m)) - S(act(w, e_m)) = 0, as a map of x
     for w in h:
         rot = rotation(w, 2)
-        img = [linalg.apply(rot, ha) for ha in hcoords]
-        for m in range(nmon):
-            columns = {m * nh + a: img[a] for a in range(nh)}
+        img = [linalg.apply(rot, ha.terms) for ha in h]
+        for m in monomials(2):
+            columns = {(m, a): img[a] for a in range(len(h))}
             for n, c in rot.get(m, {}).items():
-                for a, ha in enumerate(hcoords):
-                    columns[n * nh + a] = {slot: -(c * v) for slot, v in ha.items()}
+                for a, ha in enumerate(h):
+                    columns[(n, a)] = {slot: -(c * v) for slot, v in ha.terms.items()}
             rows.extend(linalg.transpose(columns).values())
-    riccis = [_operator(sol, hcoords).ricci() for sol in linalg.nullspace(rows, nmon * nh)]
+    riccis = [_operator(sol, h).ricci() for sol in linalg.nullspace(rows, _unknowns(h))]
     # reduce to an independent spanning set of the Ricci span
     ech = linalg.Echelon()
-    keep = []
-    for ric in riccis:
-        row = {i * DIM + j: ric[i][j] for i in range(DIM) for j in range(DIM)
-               if not ric[i][j].is_zero}
-        if ech.add_row(row) is not None:
-            keep.append(ric)
-    return keep
-
-
-def ricci_span_contains(family: list[list[list[Scalar]]],
-                        target: list[list[Scalar]]) -> bool:
-    rows: list[linalg.Row] = []
-    rhs: list[Scalar] = []
-    for i in range(DIM):
-        for j in range(DIM):
-            row = {n: family[n][i][j] for n in range(len(family))
-                   if not family[n][i][j].is_zero}
-            rows.append(row)
-            rhs.append(target[i][j])
-    return linalg.solve(rows, rhs) is not None
+    return [ric for ric in riccis if ech.add_row(ricci_row(ric)) is not None]

@@ -8,7 +8,8 @@ Hodge star satisfies a ^ star(b) = inner(a, b) * vol on each grade.
 
 The map stores no zero coefficient, so a multivector is zero exactly when
 it has no terms; every sum goes through `scalars.add_to`, which keeps
-that rule.
+that rule.  The terms are the form's coordinates: `linalg` takes them as
+sparse rows keyed by the index tuples, with no renumbering.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ DIM = 8
 Index = tuple[int, ...]
 
 
-def _merge_sign(left: Index, right: Index) -> tuple[Index, int]:
+def merge_sign(left: Index, right: Index) -> tuple[Index, int]:
     """Sort the concatenation of two disjoint ascending tuples.
 
     Returns the merged tuple and the sign of the permutation, or sign 0
@@ -144,7 +145,7 @@ def wedge(a: MultiVector, b: MultiVector) -> MultiVector:
     terms: dict[Index, Scalar] = {}
     for ka, va in a.terms.items():
         for kb, vb in b.terms.items():
-            merged, sign = _merge_sign(ka, kb)
+            merged, sign = merge_sign(ka, kb)
             if sign == 0:
                 continue
             add_to(terms, merged, va * vb if sign > 0 else -(va * vb))
@@ -185,7 +186,7 @@ def hodge(a: MultiVector) -> MultiVector:
     terms: dict[Index, Scalar] = {}
     for k, v in a.terms.items():
         comp = tuple(i for i in _FULL if i not in k)
-        _, sign = _merge_sign(k, comp)
+        _, sign = merge_sign(k, comp)
         terms[comp] = v if sign > 0 else -v
     return MultiVector(terms)
 
@@ -215,32 +216,11 @@ VOL = MultiVector.monomial(_FULL)
 
 
 # ---------------------------------------------------------------------------
-# coordinates on a fixed grade, for the exact linear algebra layer
+# the basis of a grade, in the order `linalg` pivots on
 
 @lru_cache(maxsize=None)
 def monomials(grade: int) -> tuple[Index, ...]:
     return tuple(itertools.combinations(range(1, DIM + 1), grade))
-
-
-@lru_cache(maxsize=None)
-def _monomial_index(grade: int) -> dict[Index, int]:
-    return {m: i for i, m in enumerate(monomials(grade))}
-
-
-def to_coords(a: MultiVector, grade: int) -> dict[int, Scalar]:
-    """Sparse coordinate row of a homogeneous multivector."""
-    lookup = _monomial_index(grade)
-    out: dict[int, Scalar] = {}
-    for k, v in a.terms.items():
-        if len(k) != grade:
-            raise ValueError(f"expected pure grade {grade}, found {k}")
-        out[lookup[k]] = v
-    return out
-
-
-def from_coords(row: dict[int, Scalar], grade: int) -> MultiVector:
-    basis = monomials(grade)
-    return MultiVector({basis[i]: v for i, v in row.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ from functools import lru_cache
 
 from . import linalg
 from .clifford import BASE_SPINOR, N_SPIN, Spinor, act, basis_spinor
-from .exterior import (DIM, KAHLER, MultiVector, _merge_sign, form,
-                       from_coords, monomials, to_coords)
+from .exterior import (DIM, KAHLER, Index, MultiVector, form, merge_sign,
+                       monomials)
 from .scalars import ZERO, Scalar, ScalarLike, SQRT15, add_to, rational
 
 def bracket(a: MultiVector, b: MultiVector) -> MultiVector:
@@ -42,7 +42,7 @@ def act_on_form(w: MultiVector, a: MultiVector) -> MultiVector:
             for r, v in cols[i]:
                 # e_r in slot p of idx: sort (r,) + rest, then move e_r
                 # back past the p factors in front of that slot
-                key, sign = _merge_sign((r,), rest)
+                key, sign = merge_sign((r,), rest)
                 if p % 2:
                     sign = -sign
                 if sign:
@@ -50,13 +50,13 @@ def act_on_form(w: MultiVector, a: MultiVector) -> MultiVector:
     return MultiVector(terms)
 
 
-def rotation(w: MultiVector, grade: int) -> dict[int, linalg.Row]:
+def rotation(w: MultiVector, grade: int) -> dict[Index, linalg.Row]:
     """Column images of act_on_form(w, .) on the coordinate forms of a grade."""
     columns = {}
-    for col, idx in enumerate(monomials(grade)):
-        image = to_coords(act_on_form(w, MultiVector.monomial(idx)), grade)
+    for idx in monomials(grade):
+        image = act_on_form(w, MultiVector.monomial(idx)).terms
         if image:
-            columns[col] = image
+            columns[idx] = image
     return columns
 
 
@@ -65,34 +65,33 @@ def is_invariant_form(generators: list[MultiVector], a: MultiVector) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# linear-algebra helpers over fixed coordinates
+# linear-algebra helpers, with the terms of each form as its coordinates
 
-def express(target: MultiVector, basis: list[MultiVector], grade: int):
+def express(target: MultiVector, basis: list[MultiVector]):
     """Coefficients of target in the span of basis, or None."""
-    rows = linalg.transpose({i: to_coords(b, grade) for i, b in enumerate(basis)})
-    t = to_coords(target, grade)
+    rows = linalg.transpose({i: b.terms for i, b in enumerate(basis)})
+    t = target.terms
     keys = sorted(set(rows) | set(t))
     return linalg.solve([rows.get(j, {}) for j in keys], [t.get(j, ZERO) for j in keys])
 
 
-def span_dim(vectors: list[MultiVector], grade: int) -> int:
-    return linalg.rank([to_coords(v, grade) for v in vectors])
+def span_dim(vectors: list[MultiVector]) -> int:
+    return linalg.rank([v.terms for v in vectors])
 
 
-def same_span(a: list[MultiVector], b: list[MultiVector], grade: int) -> bool:
-    return linalg.span_equal([to_coords(v, grade) for v in a],
-                             [to_coords(v, grade) for v in b])
+def same_span(a: list[MultiVector], b: list[MultiVector]) -> bool:
+    return linalg.span_equal([v.terms for v in a], [v.terms for v in b])
 
 
-def in_span(v: MultiVector, basis: list[MultiVector], grade: int) -> bool:
-    return linalg.in_span([to_coords(b, grade) for b in basis], to_coords(v, grade))
+def in_span(v: MultiVector, basis: list[MultiVector]) -> bool:
+    return linalg.in_span([b.terms for b in basis], v.terms)
 
 
 def is_subalgebra(basis: list[MultiVector]) -> bool:
-    ech = linalg.echelon([to_coords(b, 2) for b in basis])
+    ech = linalg.echelon([b.terms for b in basis])
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
-            if not ech.contains(to_coords(bracket(basis[i], basis[j]), 2)):
+            if not ech.contains(bracket(basis[i], basis[j]).terms):
                 return False
     return True
 
@@ -100,26 +99,25 @@ def is_subalgebra(basis: list[MultiVector]) -> bool:
 def invariant_forms(generators: list[MultiVector], grade: int) -> list[MultiVector]:
     """Basis of the joint kernel of act_on_form on the given grade."""
     columns = {}
-    for col, idx in enumerate(monomials(grade)):
+    for idx in monomials(grade):
         a = MultiVector.monomial(idx)
-        columns[col] = {(g, k): v for g, w in enumerate(generators)
+        columns[idx] = {(g, k): v for g, w in enumerate(generators)
                         for k, v in act_on_form(w, a).terms.items()}
-    null = linalg.kernel(columns, len(monomials(grade)))
-    return [from_coords(r, grade) for r in null]
+    return [MultiVector(r) for r in linalg.kernel(columns, monomials(grade))]
 
 
 def invariant_spinors(generators: list[MultiVector]) -> list[Spinor]:
     columns = {col: {(g, k): v for g, w in enumerate(generators)
                      for k, v in act(w, basis_spinor(col)).items()}
                for col in range(N_SPIN)}
-    return linalg.kernel(columns, N_SPIN)
+    return linalg.kernel(columns, range(N_SPIN))
 
 
 def stabilizer_in_spin7(a: MultiVector) -> list[MultiVector]:
     """Basis of {w in spin(7) : act_on_form(w, a) = 0}."""
     columns = {i: act_on_form(w, a).terms for i, w in enumerate(SPIN7_BASIS)}
     out = []
-    for r in linalg.kernel(columns, len(SPIN7_BASIS)):
+    for r in linalg.kernel(columns, range(len(SPIN7_BASIS))):
         w = MultiVector()
         for i, c in r.items():
             w = w + SPIN7_BASIS[i] * c
@@ -252,15 +250,20 @@ def algebra(name: str, k: ScalarLike = 1, l: ScalarLike = 0) -> list[MultiVector
     return [gen]
 
 
-def algebra_by_label(label: str) -> list[MultiVector]:
-    """`algebra` by name, or by "t1[k,l]" for the line of slope (k, l)."""
+def algebra_by_label(label: str) -> tuple[str, list[MultiVector]]:
+    """`algebra` by name, or by "t1[k,l]" for the line of slope (k, l),
+    with the label written without blanks around the slope values."""
     name, bracket, rest = label.partition("[")
     if not bracket:
-        return algebra(name)
-    slope = rest.rstrip("]").split(",")
+        return name, algebra(name)
+    inside, close, tail = rest.partition("]")
+    if not close or tail:
+        raise ValueError(f"a slope label ends in one ']', got {label!r}")
+    slope = inside.split(",")
     if len(slope) != 2:
         raise ValueError(f"a slope label holds two values, got {label!r}")
-    return algebra(name, *map(Scalar.parse, slope))
+    shown = ",".join(v.strip() for v in slope)
+    return f"{name}[{shown}]", algebra(name, *map(Scalar.parse, slope))
 
 
 @lru_cache(maxsize=None)
@@ -269,13 +272,12 @@ def _su4() -> tuple[MultiVector, ...]:
     fixes the Kaehler form of the pairing (12)(34)(56)(78), which is to
     say commutes with its complex structure."""
     columns = {}
-    for col, idx in enumerate(monomials(2)):
+    for idx in monomials(2):
         w = MultiVector.monomial(idx)
         image = {("form", k): v for k, v in act_on_form(w, KAHLER).terms.items()}
         image.update((("spinor", k), v) for k, v in act(w, BASE_SPINOR).items())
-        columns[col] = image
-    null = linalg.kernel(columns, len(monomials(2)))
-    return tuple(from_coords(r, 2) for r in null)
+        columns[idx] = image
+    return tuple(MultiVector(r) for r in linalg.kernel(columns, monomials(2)))
 
 
 def iso_algebra(t: MultiVector) -> tuple[str, list[MultiVector]]:
@@ -292,11 +294,11 @@ def iso_algebra(t: MultiVector) -> tuple[str, list[MultiVector]]:
         if name in ("t1", "t1tilde"):
             continue
         fixed = list(cat[name])
-        if len(fixed) == dim and same_span(basis, fixed, 2):
+        if len(fixed) == dim and same_span(basis, fixed):
             return name, basis
     if dim == 1:
-        if in_span(basis[0], list(cat["t2"]), 2):
+        if in_span(basis[0], list(cat["t2"])):
             return "t1", basis
-        if in_span(basis[0], list(cat["t2tilde"]), 2):
+        if in_span(basis[0], list(cat["t2tilde"])):
             return "t1tilde", basis
     return "unnamed", basis

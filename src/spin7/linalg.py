@@ -1,9 +1,12 @@
 """Exact linear algebra over Q(sqrt3, sqrt5).
 
 Rows are sparse dicts {column: Scalar} that store no zero, a rule that
-`scalars.add_to` keeps during elimination.  Elimination pivots on the first
-column holding a nonzero entry and keeps the form fully reduced, so ranks,
-kernels and solution sets come out in a deterministic normal form.
+`scalars.add_to` keeps during elimination.  A column may be any sortable
+key: the index tuples of `MultiVector.terms` serve as coordinates as they
+stand, and for the tuples of one grade their order is that of
+`exterior.monomials`.  Elimination pivots on the least column holding a
+nonzero entry and keeps the form fully reduced, so ranks, kernels and
+solution sets come out in a deterministic normal form.
 
 A linear map is stored as its column images, a dict {column: Row} holding
 the image of every basis element that the map does not kill.  `apply`
@@ -14,10 +17,11 @@ combines the columns, `transpose` turns them into the rows that
 from __future__ import annotations
 
 from collections import defaultdict
+from typing import Any, Iterable
 
 from .scalars import ONE, Scalar, add_to
 
-Row = dict[int, Scalar]
+Row = dict[Any, Scalar]
 
 _RHS = 1 << 60  # sentinel column for augmented systems; sorts after real columns
 
@@ -41,7 +45,7 @@ class Echelon:
     """
 
     def __init__(self) -> None:
-        self.pivot_rows: dict[int, Row] = {}
+        self.pivot_rows: dict[Any, Row] = {}
 
     def reduce(self, row: Row) -> Row:
         row = _clean(row)
@@ -50,7 +54,7 @@ class Echelon:
                 _axpy(row, row[c], self.pivot_rows[c])
         return row
 
-    def add_row(self, row: Row) -> int | None:
+    def add_row(self, row: Row) -> Any:
         """Insert a row; returns its pivot column, or None if dependent."""
         row = self.reduce(row)
         if not row:
@@ -90,9 +94,9 @@ def transpose(columns: dict) -> dict:
     return dict(rows)
 
 
-def kernel(columns: dict, ncols: int) -> list[Row]:
-    """`nullspace` basis of the map with these images of columns 0..ncols-1."""
-    return nullspace(list(transpose(columns).values()), ncols)
+def kernel(columns: dict, keys: Iterable) -> list[Row]:
+    """`nullspace` basis of the map with these images of the columns keys."""
+    return nullspace(list(transpose(columns).values()), keys)
 
 
 def echelon(rows: list[Row]) -> Echelon:
@@ -106,8 +110,9 @@ def rank(rows: list[Row]) -> int:
     return echelon(rows).rank
 
 
-def nullspace(rows: list[Row], ncols: int) -> list[Row]:
-    """Basis of {x : A x = 0}, one vector per free column, reduced form.
+def nullspace(rows: list[Row], keys: Iterable) -> list[Row]:
+    """Basis of {x : A x = 0} over the columns keys, one vector per free
+    column in the order of keys, reduced form.
 
     The basis vector attached to free column f has entry 1 at f and its
     pivot-column entries read off the reduced form, so the output is
@@ -116,7 +121,7 @@ def nullspace(rows: list[Row], ncols: int) -> list[Row]:
     ech = echelon(rows)
     piv = ech.pivot_rows
     basis = []
-    for f in range(ncols):
+    for f in keys:
         if f in piv:
             continue
         vec: Row = {f: ONE}
@@ -131,6 +136,7 @@ def nullspace(rows: list[Row], ncols: int) -> list[Row]:
 def solve(rows: list[Row], rhs: list[Scalar]) -> Row | None:
     """One exact solution of A x = b, or None when inconsistent.
 
+    The columns must be ints, which sort before the augmented column.
     Free variables are set to zero, making the particular solution
     deterministic.  Combine with `nullspace` for the general solution.
     """

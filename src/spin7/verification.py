@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable
 
 from . import linalg
 from .clifford import (BASE_SPINOR, N_SPIN, act, basis_spinor, gamma_apply,
@@ -179,12 +179,12 @@ def suite_stabilizer(rng: random.Random) -> SuiteReport:
     """Kernel dimension and agreement of the two membership tests."""
     rep = SuiteReport("03-stabilizer-kernel")
     rep.add("spanning set of the annihilator has dimension 21",
-            span_dim(list(SPIN7_BASIS), 2) == 21)
+            span_dim(list(SPIN7_BASIS)) == 21)
     columns = {}
-    for pos, idx in enumerate(monomials(2)):
+    for idx in monomials(2):
         eqs = membership_equations(MultiVector.monomial(idx))
-        columns[pos] = {eq: val for eq, val in enumerate(eqs) if not val.is_zero}
-    null_dim = len(linalg.kernel(columns, len(monomials(2))))
+        columns[idx] = {eq: val for eq, val in enumerate(eqs) if not val.is_zero}
+    null_dim = len(linalg.kernel(columns, monomials(2)))
     rep.add("linear membership system has a 21-dimensional solution space",
             null_dim == 21)
     rep.add("every annihilator generator passes both membership tests",
@@ -221,7 +221,7 @@ def suite_catalog(rng: random.Random) -> SuiteReport:
     for name, dim in _TEN:
         basis = algebra(name)
         rep.add(f"{name} has dimension {dim}",
-                len(basis) == dim and span_dim(basis, 2) == dim)
+                len(basis) == dim and span_dim(basis) == dim)
         rep.add(f"{name} is closed under the bracket", is_subalgebra(basis))
         rep.add(f"{name} lies inside the annihilator algebra",
                 all(in_stabilizer(w) for w in basis))
@@ -232,7 +232,7 @@ def suite_catalog(rng: random.Random) -> SuiteReport:
     for sub, sup in _CONTAINMENTS:
         target = algebra(sup)
         rep.add(f"{sub} is contained in {sup}",
-                all(in_span(w, target, 2) for w in algebra(sub)))
+                all(in_span(w, target) for w in algebra(sub)))
     return rep
 
 
@@ -454,7 +454,7 @@ def suite_curvature(rng: random.Random) -> SuiteReport:
                     sol is not None and diagonal(sol) == want)
     for case, table in data["constraints"].items():
         for label in sorted(table):
-            h = algebra_by_label(label)
+            _, h = algebra_by_label(label)
             want = tuple(table[label])
             got = vanishing_constraints(case, h)
             rep.add(f"case {case} weight constraints under {label}",
@@ -539,8 +539,8 @@ def suite_reconstruction(rng: random.Random) -> SuiteReport:
             last = -1 * last
         v = [p[3], p[2], p[0], p[1], -1 * p[4], -1 * p[5], p[6], last]
         rep.add(f"centralizer {sign} reference basis spans the 8-dim algebra",
-                all(in_span(w, algebra("su3"), 2) for w in v)
-                and span_dim(v, 2) == 8)
+                all(in_span(w, algebra("su3")) for w in v)
+                and span_dim(v) == 8)
         rep.add(f"centralizer {sign} reference basis is orthonormal",
                 all(inner(v[a], v[b]) == (Scalar(2) if a == b else ZERO)
                     for a in range(8) for b in range(8)))
@@ -548,7 +548,7 @@ def suite_reconstruction(rng: random.Random) -> SuiteReport:
         for i in range(8):
             for j in range(i + 1, 8):
                 image = bracket(v[i], v[j])
-                coords = express(image, v, 2) or {}
+                coords = express(image, v) or {}
                 want = {k: -c for k, c in
                         rec2.structure.get((i, j), {}).items()}
                 got = {k: c for k, c in coords.items() if not c.is_zero}
@@ -645,16 +645,9 @@ def run_all(seed: int = 0) -> list[SuiteReport]:
 # ---------------------------------------------------------------------------
 # golden regeneration
 
-def _sample_block(fam_id: str, raw_samples: Iterable[dict]) -> list[dict]:
-    fam = FAMILIES[fam_id]
-    out = []
-    for raw in raw_samples:
-        params = _parse_params(raw)
-        out.append({
-            "params": dict(raw),
-            "ricci": [str(v) for v in fam.ricci_diag(params)],
-        })
-    return out
+def _ricci_strings(fam_id: str, raw: dict) -> list[str]:
+    """The printed Ricci diagonal of a family at string parameters."""
+    return [str(v) for v in FAMILIES[fam_id].ricci_diag(_parse_params(raw))]
 
 
 _FAMILY_SAMPLES: dict[str, list[dict]] = {
@@ -724,7 +717,8 @@ def golden_payloads() -> dict[str, dict]:
         families[fam_id] = {
             "holonomy": FAMILIES[fam_id].iso_name,
             "params": list(FAMILIES[fam_id].params),
-            "samples": _sample_block(fam_id, samples),
+            "samples": [{"params": dict(raw), "ricci": _ricci_strings(fam_id, raw)}
+                        for raw in samples],
         }
     square = wedge(CAYLEY, CAYLEY)
     constant = square.coeff(tuple(range(1, DIM + 1)))
@@ -732,12 +726,9 @@ def golden_payloads() -> dict[str, dict]:
     for case, samples in _CASE_SAMPLES.items():
         cases[case] = {
             "holonomy": CASE_HOLONOMY[case],
-            "samples": [{
-                "family": fam_id,
-                "params": dict(raw),
-                "ricci": [str(v) for v in
-                          FAMILIES[fam_id].ricci_diag(_parse_params(raw))],
-            } for fam_id, raw in samples],
+            "samples": [{"family": fam_id, "params": dict(raw),
+                         "ricci": _ricci_strings(fam_id, raw)}
+                        for fam_id, raw in samples],
         }
     return {
         "families.json": {

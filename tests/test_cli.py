@@ -67,10 +67,11 @@ def test_invariants_command_lists_spinors():
 
 
 def test_invariants_command_handles_slope_labels():
-    r = dispatch(["invariants", "--algebra", "t1[1,0]", "--space", "forms3"])
-    payload = _env(r)["payload"]
-    assert payload["algebra"] == "t1[1,0]"
-    assert payload["dim"] == 20
+    for label in ("t1[1,0]", "T1[ 1 , 0 ]"):
+        r = dispatch(["invariants", "--algebra", label, "--space", "forms3"])
+        payload = _env(r)["payload"]
+        assert payload["algebra"] == "t1[1,0]"
+        assert payload["dim"] == 20
 
 
 def test_iso_command_identifies_a_stabilizer():
@@ -108,8 +109,9 @@ def test_usage_errors_exit_with_2(capsys):
     bad_form = dispatch(["iso", "--form", "e_1x"])
     assert bad_form.exit_code == 2
     assert "offset" in bad_form.diagnostics
-    assert dispatch(["invariants", "--algebra", "nope",
-                     "--space", "forms3"]).exit_code == 2
+    for label in ("nope", "t1[1,0", "t1[1,0]]]", "t1[1,0]x", "t1[1]"):
+        assert dispatch(["invariants", "--algebra", label,
+                         "--space", "forms3"]).exit_code == 2
     for text in ("e_12 +", "e_12 + + e_34", "(1+)*e_12"):
         dangling = dispatch(["iso", "--form", text])
         assert dangling.exit_code == 2

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from spin7.exterior import (CAYLEY, DIM, E, KAHLER, VOL, MultiVector,
                             contract, evaluate, form, format_form,
-                            format_terms, from_coords, hodge, inner,
-                            monomials, norm_sq, sigma_t, to_coords, wedge)
+                            format_terms, hodge, inner, monomials, norm_sq,
+                            sigma_t, wedge)
 from spin7.scalars import SQRT3, ParseError, Scalar, rational
 
 
@@ -67,12 +67,6 @@ def test_evaluate_against_coordinates():
     assert evaluate(a, [E[3], E[1], E[5]]) == Scalar(-2)
     assert evaluate(a, [E[2], E[3], E[6]]) == Scalar(-1)
     assert evaluate(a, [E[1], E[2], E[4]]).is_zero
-
-
-def test_coordinate_round_trip():
-    rng = random.Random(6)
-    a = _random_form(rng, 3, terms=10)
-    assert from_coords(to_coords(a, 3), 3) == a
 
 
 def test_calibration_form_is_self_dual():
@@ -167,11 +161,6 @@ def test_a_scalar_string_reads_alike_alone_in_a_form_and_as_a_coefficient(text):
         value if failed else MultiVector({(): value}))
     assert _outcome(form, f"({text})*e_12") == (
         value if failed else MultiVector.monomial((1, 2), value))
-
-
-def test_mixed_grade_coordinate_access_is_rejected():
-    with pytest.raises(ValueError):
-        to_coords(form("e_12 + e_123"), 2)
 
 
 def test_scalar_multiples_and_zero_cleanup():

@@ -14,7 +14,7 @@ from spin7.scalars import Scalar, rational
 
 def test_kernel_basis_has_21_independent_members():
     assert len(SPIN7_BASIS) == 21
-    assert span_dim(SPIN7_BASIS, 2) == 21
+    assert span_dim(SPIN7_BASIS) == 21
     for w in SPIN7_BASIS:
         assert in_stabilizer(w)
         assert all(v.is_zero for v in membership_equations(w))
@@ -65,8 +65,8 @@ def test_catalog_membership_and_closure():
 def test_t1_slopes_select_distinct_lines():
     a = algebra("t1", 1, 0)[0]
     b = algebra("t1", 0, 1)[0]
-    assert not in_span(b, [a], 2)
-    assert in_span(algebra("t1", 2, 0)[0], [a], 2)
+    assert not in_span(b, [a])
+    assert in_span(algebra("t1", 2, 0)[0], [a])
     with pytest.raises(ValueError):
         algebra("t1", 0, 0)
     with pytest.raises(KeyError):
@@ -75,17 +75,17 @@ def test_t1_slopes_select_distinct_lines():
 
 def test_express_solves_exact_coordinates():
     target = 2 * SPIN7_BASIS[0] + rational(1, 3) * SPIN7_BASIS[5]
-    coords = express(target, SPIN7_BASIS, 2)
+    coords = express(target, SPIN7_BASIS)
     assert coords is not None
     live = {k: v for k, v in coords.items() if not v.is_zero}
     assert live == {0: Scalar(2), 5: rational(1, 3)}
-    assert express(form("e_12"), SPIN7_BASIS, 2) is None
+    assert express(form("e_12"), SPIN7_BASIS) is None
 
 
 def test_invariant_spaces_of_the_full_kernel():
     forms4 = invariant_forms(SPIN7_BASIS, 4)
     assert len(forms4) == 1
-    assert in_span(CAYLEY, forms4, 4)
+    assert in_span(CAYLEY, forms4)
     spinors = invariant_spinors(SPIN7_BASIS)
     assert len(spinors) == 1
 

@@ -33,7 +33,7 @@ def test_solve_handles_irrational_pivots():
 def test_rank_and_nullspace_are_complementary():
     rows = _rows([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
     r = linalg.rank(rows)
-    null = linalg.nullspace(rows, 3)
+    null = linalg.nullspace(rows, range(3))
     assert r == 2
     assert len(null) == 1
     vec = null[0]
@@ -69,5 +69,5 @@ def test_column_maps_apply_transpose_and_kernel():
     assert linalg.apply(columns, {0: Scalar(1), 1: Scalar(1), 2: Scalar(-1)}) == {}
     assert linalg.apply(columns, {1: rational(1, 2), 3: Scalar(5)}) == \
         {0: Scalar(1), 1: Scalar(2)}
-    assert linalg.kernel(columns, 4) == [{2: Scalar(1), 0: Scalar(-1), 1: Scalar(-1)},
+    assert linalg.kernel(columns, range(4)) == [{2: Scalar(1), 0: Scalar(-1), 1: Scalar(-1)},
                                          {3: Scalar(1)}]

@@ -6,22 +6,25 @@ forms, kept here only as oracles: a curvature operator applied as a sum
 of dyads, the torsion term of the cyclic identity evaluated by four
 contractions, the bracket as a commutator of dense skew 8x8 matrices, and
 the rotation of a vector read off that matrix.  The two hand-split
-parsers of scalar and form strings are kept the same way.
+parsers of scalar and form strings are kept the same way, and so is the
+renumbering of the monomials of a grade as 0..C(8, k)-1 that the linear
+algebra once ran on.
 """
 
 import re
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from spin7 import curvature
+from spin7 import curvature, linalg
 from spin7.curvature import (CurvatureTensor, build_rc, case_family,
                              cyclic_residue, dyad)
 from spin7.exterior import (DIM, E, MultiVector, evaluate, form, inner,
-                            monomials, sigma_t, to_coords)
-from spin7.liealg import act_on_form, algebra, bracket
+                            monomials, sigma_t)
+from spin7.liealg import act_on_form, algebra, bracket, express
 from spin7.scalars import SQRT3, ZERO, ParseError, Scalar, add_to, rational
 
 _VALUES = [Scalar(1), Scalar(2), rational(1, 2), SQRT3, 1 + SQRT3]
@@ -175,9 +178,7 @@ def _bianchi_solutions(name: str):
 
 
 def _solution_dyads(sol, h):
-    grade2 = monomials(2)
-    return [(c, h[key % len(h)], MultiVector.monomial(grade2[key // len(h)]))
-            for key, c in sol.items()]
+    return [(c, h[a], MultiVector.monomial(m)) for (m, a), c in sol.items()]
 
 
 @examples
@@ -192,8 +193,130 @@ def test_solution_vector_columns_match_the_dyad_sum(name, weights, quads):
     for w, sol in zip(weights, sols):
         for key, c in sol.items():
             add_to(combo, key, w * c)
-    tensor = curvature._operator(combo, [to_coords(w, 2) for w in h])
+    tensor = curvature._operator(combo, h)
     assert _matches_oracle(tensor, _solution_dyads(combo, h), quads)
+
+
+# ---------------------------------------------------------------------------
+# int coordinates: the monomials of a grade renumbered 0..C(8, k)-1, as the
+# linear algebra read forms before it took the index tuples as keys
+
+@lru_cache(maxsize=None)
+def _index(grade: int) -> dict:
+    return {m: i for i, m in enumerate(monomials(grade))}
+
+
+def to_coords(a: MultiVector, grade: int) -> dict:
+    return {_index(grade)[k]: v for k, v in a.terms.items()}
+
+
+def from_coords(row: dict, grade: int) -> dict:
+    """The tuple-keyed terms of a coordinate row, in the row's order."""
+    return {monomials(grade)[i]: v for i, v in row.items()}
+
+
+def express_int(target, basis, grade):
+    rows = linalg.transpose({i: to_coords(b, grade) for i, b in enumerate(basis)})
+    t = to_coords(target, grade)
+    keys = sorted(set(rows) | set(t))
+    return linalg.solve([rows.get(j, {}) for j in keys], [t.get(j, ZERO) for j in keys])
+
+
+def _pair_int(i, j):
+    index = _index(2)
+    return (index[(i, j)], 1) if i < j else (index[(j, i)], -1)
+
+
+def bianchi_space_int(h, symmetric):
+    """The columns of the bianchi_space members, solved over the unknowns
+    m * nh + a and then keyed by monomials."""
+    nmon, nh = len(monomials(2)), len(h)
+    hcoords = [to_coords(w, 2) for w in h]
+    rows = []
+    for i in range(1, DIM + 1):
+        for j in range(i + 1, DIM + 1):
+            for k in range(j + 1, DIM + 1):
+                for v in range(1, DIM + 1):
+                    row = {}
+                    for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j)):
+                        if z == v:
+                            continue
+                        (m, s), (n, t) = _pair_int(x, y), _pair_int(z, v)
+                        for a, ha in enumerate(hcoords):
+                            if n in ha:
+                                add_to(row, m * nh + a, ha[n] if s == t else -ha[n])
+                    if row:
+                        rows.append(row)
+    if symmetric:
+        for m in range(nmon):
+            for n in range(m + 1, nmon):
+                row = {}
+                for a, ha in enumerate(hcoords):
+                    if n in ha:
+                        row[m * nh + a] = ha[n]
+                    if m in ha:
+                        row[n * nh + a] = -ha[m]
+                if row:
+                    rows.append(row)
+    out = []
+    for sol in linalg.nullspace(rows, range(nmon * nh)):
+        columns = defaultdict(dict)
+        for key, c in sol.items():
+            m, a = divmod(key, nh)
+            for n, v in hcoords[a].items():
+                add_to(columns[m], n, c * v)
+        out.append({monomials(2)[m]: from_coords(col, 2)
+                    for m, col in columns.items() if col})
+    return out
+
+
+def _ordered(d):
+    """A nested dict as nested item lists, so that == also compares key order."""
+    return [(k, _ordered(v) if isinstance(v, dict) else v) for k, v in d.items()]
+
+
+grades = st.integers(1, 4)
+
+
+def forms_of(grade, max_size=6):
+    return st.dictionaries(st.sampled_from(monomials(grade)), coeffs,
+                           max_size=max_size).map(MultiVector)
+
+
+@examples
+@given(grades.flatmap(lambda g: st.tuples(st.just(g), st.lists(forms_of(g), max_size=6),
+                                          forms_of(g))))
+def test_rank_and_express_read_tuple_keys_as_the_int_coordinates(drawn):
+    grade, basis, other = drawn
+    rows = [b.terms for b in basis]
+    assert linalg.rank(rows) == linalg.rank([to_coords(b, grade) for b in basis])
+    combo = sum((b * c for b, c in zip(basis, _VALUES)), MultiVector())
+    for target in (other, combo, combo + other):
+        assert _ordered(express(target, basis) or {}) == \
+            _ordered(express_int(target, basis, grade) or {})
+        assert (express(target, basis) is None) == (express_int(target, basis, grade) is None)
+
+
+@examples
+@given(st.tuples(st.integers(1, 2), grades).flatmap(lambda gs: st.tuples(
+    st.just(gs), st.dictionaries(st.sampled_from(monomials(gs[0])), forms_of(gs[1]),
+                                 max_size=10))))
+def test_kernel_over_monomials_is_the_int_kernel_mapped_through_them(drawn):
+    (source, target), images = drawn
+    columns = {m: f.terms for m, f in images.items()}
+    old = linalg.kernel({_index(source)[m]: to_coords(f, target) for m, f in images.items()},
+                        range(len(monomials(source))))
+    new = linalg.kernel(columns, monomials(source))
+    assert [_ordered(r) for r in new] == [_ordered(from_coords(r, source)) for r in old]
+
+
+@settings(deadline=None, max_examples=15)
+@given(st.one_of(st.lists(forms_of(2), min_size=1, max_size=3),
+                st.sampled_from(["su2", "r+su2", "u2"]).map(algebra)), st.booleans())
+def test_bianchi_space_over_pair_unknowns_matches_the_int_unknowns(h, symmetric):
+    new = [r.columns for r in curvature.bianchi_space(h, symmetric)]
+    assert [_ordered(c) for c in new] == \
+        [_ordered(c) for c in bianchi_space_int(h, symmetric)]
 
 
 # ---------------------------------------------------------------------------
