@@ -16,18 +16,18 @@ frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import linalg
 from .curvature import (CurvatureTensor, bianchi_dim_positive, build_rc,
-                        case_weights, invariant_ricci_family, ricci_row)
+                        case_weights, invariant_ricci_family)
 from .exterior import (DIM, E, MultiVector, contract, evaluate, form,
                        inner, wedge)
 from .liealg import algebra, bracket, express, in_span
 from .scalars import ONE, SQRT3, ZERO, Scalar, ScalarLike, add_to, rational
-from .structure import FAMILIES, ricci_solver
+from .structure import FAMILIES, Ricci, diagonal, ricci_solver
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +59,6 @@ class ClassificationRow:
 # value.
 
 _SLOPE_REP = {"l0": (1, 0), "k0": (0, 1), "kl": (1, 1)}
-_SLOPE_TEXT = {"l0": "[k,0]", "k0": "[0,l]", "kl": "[k,l]"}
 
 _ROWS: dict[str, dict] = {
     "g2": {
@@ -242,7 +241,7 @@ def _family_with(row: dict, assignment: dict) -> tuple[MultiVector, str]:
 
 
 def _verify_operator(case: str, assignment: dict, h: list[MultiVector],
-                     sol: list[list[Scalar]], who: str) -> None:
+                     sol: Ricci, who: str) -> None:
     """A trivial-Bianchi candidate must admit a parallel curvature operator.
 
     Rebuilds the operator of the case at the witness and checks range,
@@ -257,11 +256,29 @@ def _verify_operator(case: str, assignment: dict, h: list[MultiVector],
         raise AssertionError(f"operator Ricci disagrees with the solver for {who}")
 
 
-def _decide(iso: str, hol_key, h: list[MultiVector], label: str) -> ClassificationRow:
+def run_recipe(iso: str, hol: str, k: ScalarLike = 1, l: ScalarLike = 0) -> ClassificationRow:
+    """Decide one (invariance algebra, candidate holonomy) pair.
+
+    k and l select the line for the torus candidates and are ignored for
+    the fixed catalog names.  The decision re-runs the computation that
+    justifies the row: subspace containment, the Ricci solve at the
+    recorded witness point, and the curvature checks where the Bianchi
+    space of the candidate is trivial.
+    """
+    if iso not in _ROWS:
+        raise ValueError(f"no decision row for {iso!r}")
+    if hol in ("t1", "t1tilde"):
+        ks, ls = Scalar.coerce(k), Scalar.coerce(l)
+        hol_key = (hol, _slope_class(ks, ls))
+        h = algebra(hol, ks, ls)
+        label = f"{hol}[{ks},{ls}]"
+    else:
+        hol_key = hol
+        h = algebra(hol)
+        label = hol
     row = _ROWS[iso]
-    name = hol_key[0] if isinstance(hol_key, tuple) else hol_key
     g = algebra(iso)
-    knz = _knz(name)
+    knz = _knz(hol)
     fam_id = row["family"]
 
     if h and not all(in_span(w, g) for w in h):
@@ -281,7 +298,7 @@ def _decide(iso: str, hol_key, h: list[MultiVector], label: str) -> Classificati
             full = dict(row["fixed"])
             full.update(prm)
             _verify_operator(case, full, h, sol, f"({iso}, {label})")
-        diag = ", ".join(str(sol[i][i]) for i in range(DIM))
+        diag = ", ".join(str(v) for v in diagonal(sol))
         return ClassificationRow(iso, label, knz, fam_id, text,
                                  f"diag({diag})", constraint, True)
 
@@ -314,8 +331,7 @@ def _decide(iso: str, hol_key, h: list[MultiVector], label: str) -> Classificati
         if sol is None:
             reason = "Ricci system inconsistent (scaling)"
         else:
-            family = [ricci_row(ric) for ric in invariant_ricci_family(h)]
-            if linalg.in_span(family, ricci_row(sol)):
+            if linalg.in_span(invariant_ricci_family(h), sol):
                 raise AssertionError(f"invariant family matched for ({iso}, {label})")
             reason = ("solved Ricci lies outside the invariant symmetric "
                       "operator family")
@@ -323,41 +339,13 @@ def _decide(iso: str, hol_key, h: list[MultiVector], label: str) -> Classificati
                              False, reason)
 
 
-def run_recipe(iso: str, hol: str, k: ScalarLike = 1, l: ScalarLike = 0) -> ClassificationRow:
-    """Decide one (invariance algebra, candidate holonomy) pair.
-
-    k and l select the line for the torus candidates and are ignored for
-    the fixed catalog names.  The decision re-runs the computation that
-    justifies the row: subspace containment, the Ricci solve at the
-    recorded witness point, and the curvature checks where the Bianchi
-    space of the candidate is trivial.
-    """
-    if iso not in _ROWS:
-        raise ValueError(f"no decision row for {iso!r}")
-    if hol in ("t1", "t1tilde"):
-        ks, ls = Scalar.coerce(k), Scalar.coerce(l)
-        key = (hol, _slope_class(ks, ls))
-        h = algebra(hol, ks, ls)
-        label = f"{hol}[{ks},{ls}]"
-    else:
-        key = hol
-        h = algebra(hol)
-        label = hol
-    return _decide(iso, key, h, label)
-
-
 @lru_cache(maxsize=1)
 def _table_rows() -> tuple[ClassificationRow, ...]:
     out = []
     for iso, row in _ROWS.items():
         for key in list(row["admissible"]) + list(row["excluded"]):
-            if isinstance(key, tuple):
-                name, cls = key
-                h = algebra(name, *_SLOPE_REP[cls])
-                label = name + _SLOPE_TEXT[cls]
-            else:
-                name, h, label = key, algebra(key), key
-            out.append(_decide(iso, key, h, label))
+            hol = (key[0], *_SLOPE_REP[key[1]]) if isinstance(key, tuple) else (key,)
+            out.append(run_recipe(iso, *hol))
     return tuple(out)
 
 
@@ -525,42 +513,37 @@ def flat_operator_locus() -> tuple[dict, ...]:
 
 @dataclass
 class ReconstructedAlgebra:
-    """Holonomy part plus a vector part, with an explicit bracket table."""
+    """Holonomy part plus a vector part, with the bracket stored as the
+    column maps ad[i] = {j: [e_i, e_j]} over both orders of i != j; a
+    zero bracket is left out."""
 
-    dim: int
     labels: list[str]
-    structure: dict[tuple[int, int], dict[int, Scalar]]
+    ad: list[dict[int, dict[int, Scalar]]]
     jacobi_ok: bool
-    jacobi_failures: list[tuple[int, int, int]] = field(default_factory=list)
+
+    @property
+    def dim(self) -> int:
+        return len(self.labels)
+
+    @property
+    def structure(self) -> dict[tuple[int, int], dict[int, Scalar]]:
+        """The brackets [e_i, e_j] with i < j, keyed by (i, j)."""
+        return {(i, j): col for i, cols in enumerate(self.ad)
+                for j, col in cols.items() if i < j}
 
     def bracket_vec(self, x: dict[int, Scalar], y: dict[int, Scalar]) -> dict[int, Scalar]:
         out: dict[int, Scalar] = {}
         for i, xi in x.items():
-            for j, yj in y.items():
-                if i == j:
-                    continue
-                row = self.structure.get((i, j))
-                sign = 1
-                if row is None:
-                    row = self.structure.get((j, i))
-                    sign = -1
-                if not row:
-                    continue
-                c = xi * yj
-                for m, v in row.items():
-                    add_to(out, m, c * v if sign == 1 else -(c * v))
+            for m, v in linalg.apply(self.ad[i], y).items():
+                add_to(out, m, xi * v)
         return out
 
     def killing_nondegenerate(self) -> bool:
-        """Whether the Killing form tr(ad_i ad_j) has full rank; ad_i is
-        kept as its column images [e_i, e_k]."""
-        ads = [{k: col for k in range(self.dim)
-                if (col := self.bracket_vec({i: ONE}, {k: ONE}))}
-               for i in range(self.dim)]
+        """Whether the Killing form tr(ad_i ad_j) has full rank."""
         rows = []
-        for p in ads:
+        for p in self.ad:
             row = {}
-            for j, q in enumerate(ads):
+            for j, q in enumerate(self.ad):
                 tr = sum((linalg.apply(p, col).get(k, ZERO)
                           for k, col in q.items()), ZERO)
                 if not tr.is_zero:
@@ -578,9 +561,9 @@ def reconstruct_lie_algebra(t: MultiVector, r: Optional[CurvatureTensor],
     act_on_form(A, Y); T(X,Y) is the metric dual of the doubly contracted
     torsion, and curvature values are re-expressed in the h basis.  dims
     restricts the vector part to a subset of the coordinate directions;
-    the bracket must close on it.  Jacobi is verified exactly; failures
-    are recorded per basis triple rather than raised, so a non-closing
-    input still yields a diagnosable table.
+    the bracket must close on it.  Jacobi is verified exactly and
+    reported in jacobi_ok rather than raised, so a non-closing input
+    still yields a bracket to inspect.
     """
     dims = list(range(1, DIM + 1)) if dims is None else list(dims)
     nv = len(dims)
@@ -604,11 +587,12 @@ def reconstruct_lie_algebra(t: MultiVector, r: Optional[CurvatureTensor],
             raise ValueError(f"bracket leaves the chosen directions at e{d}")
         add_to(co, nh + pos[d], c)
 
-    structure: dict[tuple[int, int], dict[int, Scalar]] = {}
+    ad: list[dict[int, dict[int, Scalar]]] = [{} for _ in range(n)]
 
     def put(i: int, j: int, co: dict[int, Scalar]) -> None:
         if co:
-            structure[(i, j)] = co
+            ad[i][j] = co
+            ad[j][i] = {m: -v for m, v in co.items()}
 
     for a in range(nh):
         for b in range(a + 1, nh):
@@ -630,21 +614,17 @@ def reconstruct_lie_algebra(t: MultiVector, r: Optional[CurvatureTensor],
                 vec_entry(z, -evaluate(t, [E[x], E[y], E[z]]), co)
             put(nh + pos[x], nh + pos[y], co)
 
-    alg = ReconstructedAlgebra(n, labels, structure, True)
-    failures = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                tot: dict[int, Scalar] = {}
-                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    inner_br = alg.bracket_vec({a: ONE}, {b: ONE})
-                    for m, v in alg.bracket_vec(inner_br, {c: ONE}).items():
-                        add_to(tot, m, v)
-                if tot:
-                    failures.append((i, j, k))
-    alg.jacobi_ok = not failures
-    alg.jacobi_failures = failures
-    return alg
+    def jacobiator(i: int, j: int, k: int) -> dict[int, Scalar]:
+        """sum_cyc [e_k, [e_i, e_j]], which vanishes when Jacobi holds."""
+        tot: dict[int, Scalar] = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, v in linalg.apply(ad[c], ad[a].get(b, {})).items():
+                add_to(tot, m, v)
+        return tot
+
+    jacobi_ok = not any(jacobiator(i, j, k) for i in range(n)
+                        for j in range(i + 1, n) for k in range(j + 1, n))
+    return ReconstructedAlgebra(labels, ad, jacobi_ok)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from . import linalg
 from .exterior import DIM, Index, MultiVector, monomials, sigma_t
 from .liealg import SPIN7_BASIS, algebra, rotation
 from .scalars import ZERO, Scalar, ScalarLike, SQRT15, add_to, rational
-from .structure import FAMILIES, Params, TorsionFamily
+from .structure import FAMILIES, Params, Ricci, TorsionFamily
 
 Dyad = tuple[Scalar, MultiVector, MultiVector]
 
@@ -82,13 +82,15 @@ class CurvatureTensor:
                     return False
         return True
 
-    def ricci(self) -> list[list[Scalar]]:
-        """Ric(X, Y) = sum_i R(e_i, X, Y, e_i)."""
-        out = [[ZERO] * DIM for _ in range(DIM)]
+    def ricci(self) -> Ricci:
+        """The zero-free map {(x, y): Ric(e_x, e_y)} over x <= y, where
+        Ric(X, Y) = sum_i R(e_i, X, Y, e_i)."""
+        out = {}
         for x in range(1, DIM + 1):
             for y in range(x, DIM + 1):
                 tot = sum((self.entry(i, x, y, i) for i in range(1, DIM + 1)), ZERO)
-                out[x - 1][y - 1] = out[y - 1][x - 1] = tot
+                if not tot.is_zero:
+                    out[(x, y)] = tot
         return out
 
 
@@ -336,15 +338,9 @@ def bianchi_dim_positive(name: str) -> bool:
     return len(bianchi_space(h, symmetric=False)) > 0
 
 
-def ricci_row(ric: list[list[Scalar]]) -> linalg.Row:
-    """A Ricci tensor as a sparse row keyed by its index pairs (i, j)."""
-    return {(i, j): v for i, line in enumerate(ric) for j, v in enumerate(line)
-            if not v.is_zero}
-
-
-def invariant_ricci_family(h: list[MultiVector]) -> list[list[list[Scalar]]]:
-    """Basis of Ricci tensors of symmetric h-invariant operators into
-    span(h)."""
+def invariant_ricci_family(h: list[MultiVector]) -> list[Ricci]:
+    """Ricci tensors of symmetric h-invariant operators into span(h), as
+    `CurvatureTensor.ricci` maps: an independent set spanning them all."""
     if not h:
         return []
     rows = _symmetry_rows(h)
@@ -359,6 +355,5 @@ def invariant_ricci_family(h: list[MultiVector]) -> list[list[list[Scalar]]]:
                     columns[(n, a)] = {slot: -(c * v) for slot, v in ha.terms.items()}
             rows.extend(linalg.transpose(columns).values())
     riccis = [_operator(sol, h).ricci() for sol in linalg.nullspace(rows, _unknowns(h))]
-    # reduce to an independent spanning set of the Ricci span
     ech = linalg.Echelon()
-    return [ric for ric in riccis if ech.add_row(ricci_row(ric)) is not None]
+    return [ric for ric in riccis if ech.add_row(ric) is not None]

@@ -4,9 +4,12 @@ Rows are sparse dicts {column: Scalar} that store no zero, a rule that
 `scalars.add_to` keeps during elimination.  A column may be any sortable
 key: the index tuples of `MultiVector.terms` serve as coordinates as they
 stand, and for the tuples of one grade their order is that of
-`exterior.monomials`.  Elimination pivots on the least column holding a
-nonzero entry and keeps the form fully reduced, so ranks, kernels and
-solution sets come out in a deterministic normal form.
+`exterior.monomials`; the pairs (i, j) of a Ricci tensor and the
+(monomial, member) unknowns of a curvature operator are columns too.
+Elimination pivots on the least column holding a nonzero entry and keeps
+the form fully reduced, so ranks, kernels and solution sets come out in a
+deterministic normal form.  `solve` augments its rows with one more
+column that sorts after every key.
 
 A linear map is stored as its column images, a dict {column: Row} holding
 the image of every basis element that the map does not kill.  `apply`
@@ -23,7 +26,18 @@ from .scalars import ONE, Scalar, add_to
 
 Row = dict[Any, Scalar]
 
-_RHS = 1 << 60  # sentinel column for augmented systems; sorts after real columns
+
+class _Last:
+    """The augmented column of `solve`: sorts after every column key."""
+
+    def __lt__(self, other: Any) -> bool:
+        return False
+
+    def __gt__(self, other: Any) -> bool:
+        return other is not self
+
+
+_RHS = _Last()
 
 
 def _clean(row: Row) -> Row:
@@ -136,7 +150,6 @@ def nullspace(rows: list[Row], keys: Iterable) -> list[Row]:
 def solve(rows: list[Row], rhs: list[Scalar]) -> Row | None:
     """One exact solution of A x = b, or None when inconsistent.
 
-    The columns must be ints, which sort before the augmented column.
     Free variables are set to zero, making the particular solution
     deterministic.  Combine with `nullspace` for the general solution.
     """

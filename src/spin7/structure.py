@@ -26,6 +26,7 @@ from .exterior import (CAYLEY, DIM, E, MultiVector, contract, form, hodge,
 from .scalars import ZERO, Scalar, ScalarLike, add_to, rational
 
 Params = Mapping[str, ScalarLike]
+Ricci = dict[tuple[int, int], Scalar]  # {(i, j): Ric(e_i, e_j)} over i <= j, zero-free
 
 
 # ---------------------------------------------------------------------------
@@ -162,15 +163,15 @@ def square_condition_holds(t: MultiVector, spinors: list[Spinor]) -> bool:
     return not any(linalg.apply(square, psi) for psi in spinors)
 
 
-def ricci_solver(t: MultiVector,
-                 h: list[MultiVector]) -> Optional[list[list[Scalar]]]:
+def ricci_solver(t: MultiVector, h: list[MultiVector]) -> Optional[Ricci]:
     """Solve the torsion equations for the Ricci tensor of the torsion
     connection, given a candidate holonomy algebra h.
 
     Every h-invariant spinor psi and every basis vector X contribute the
     equation -4 Ric(X) psi = (t^2 - 7|t_8|^2) X psi, preceded by the
-    square condition on psi.  Returns the symmetric 8x8 solution, or
-    None when the system is inconsistent.
+    square condition on psi.  The unknowns are the entries Ric(e_i, e_j),
+    i <= j, keyed by (i, j).  Returns the zero-free map
+    {(i, j): Ric(e_i, e_j)}, or None when the system is inconsistent.
     """
     from .liealg import invariant_spinors
     spinors = invariant_spinors(h)
@@ -178,8 +179,6 @@ def ricci_solver(t: MultiVector,
     if any(linalg.apply(square, psi) for psi in spinors):
         return None
 
-    pairs = [(i, j) for i in range(1, DIM + 1) for j in range(i, DIM + 1)]
-    col_of = {p: n for n, p in enumerate(pairs)}
     rows: list[linalg.Row] = []
     rhs: list[Scalar] = []
     for psi in spinors:
@@ -190,33 +189,18 @@ def ricci_solver(t: MultiVector,
             for j in range(1, DIM + 1):
                 slots.update(gammas[j - 1])
             for s in sorted(slots):
-                row: linalg.Row = {}
-                for j in range(1, DIM + 1):
-                    v = gammas[j - 1].get(s, ZERO)
-                    if not v.is_zero:
-                        col = col_of[(min(j, k), max(j, k))]
-                        row[col] = row.get(col, ZERO) + Scalar(-4) * v
-                rows.append(row)
+                rows.append({(min(j, k), max(j, k)): Scalar(-4) * g[s]
+                             for j, g in enumerate(gammas, 1) if s in g})
                 rhs.append(target.get(s, ZERO))
-    sol = linalg.solve(rows, rhs)
-    if sol is None:
-        return None
-    ric = [[ZERO] * DIM for _ in range(DIM)]
-    for (i, j), n in col_of.items():
-        v = sol.get(n, ZERO)
-        ric[i - 1][j - 1] = v
-        ric[j - 1][i - 1] = v
-    return ric
+    return linalg.solve(rows, rhs)
 
 
-def diagonal(matrix: list[list[Scalar]]) -> list[Scalar]:
-    return [matrix[i][i] for i in range(len(matrix))]
+def diagonal(ric: Ricci) -> list[Scalar]:
+    return [ric.get((i, i), ZERO) for i in range(1, DIM + 1)]
 
 
-def is_diagonal(matrix: list[list[Scalar]]) -> bool:
-    return all(matrix[i][j].is_zero
-               for i in range(len(matrix))
-               for j in range(len(matrix)) if i != j)
+def is_diagonal(ric: Ricci) -> bool:
+    return all(i == j for i, j in ric)
 
 
 # ---------------------------------------------------------------------------

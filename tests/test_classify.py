@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+from spin7 import verification
 from spin7.classify import (admissibility_table, admissible_pairs,
                             family_span_dims, flat_operator_locus,
                             phi_from_hermitian, reconstruct_lie_algebra,
@@ -9,7 +10,8 @@ from spin7.classify import (admissibility_table, admissible_pairs,
                             two_weight_vanishing_locus)
 from spin7.curvature import build_rc
 from spin7.exterior import CAYLEY, E
-from spin7.liealg import algebra
+from spin7.liealg import algebra, bracket, express
+from spin7.scalars import Scalar
 from spin7.structure import FAMILIES
 
 
@@ -33,6 +35,13 @@ def test_table_is_cached_and_complete():
                                        for r in admissibility_table()]
     seen = {(r.iso, r.hol) for r in table}
     assert len(seen) == len(table)
+
+
+def test_table_rows_are_the_recipe_decisions():
+    for row in admissibility_table():
+        name, _, slope = row.hol.partition("[")
+        args = [Scalar.parse(v) for v in slope.rstrip("]").split(",")] if slope else []
+        assert run_recipe(row.iso, name, *args) == row
 
 
 def test_grouped_pairs_structure():
@@ -85,6 +94,28 @@ def test_reconstruction_requires_enough_directions():
     assert rec.dim == 9 and rec.jacobi_ok
     with pytest.raises(ValueError):
         reconstruct_lie_algebra(t, rc, algebra("t2"), dims=range(1, 7))
+
+
+def test_lie_isomorphism_check_fails_a_bracket_leaving_the_span(monkeypatch):
+    # express answers None for the commuting pair (v[6], v[7]) of the
+    # reference basis, as for a bracket outside span(v)
+    pairs = []
+
+    def spy_bracket(a, b):
+        pairs.append((a, b))
+        return bracket(a, b)
+
+    def lost_express(target, basis):
+        if pairs and pairs[-1] == (basis[6], basis[7]):
+            return None
+        return express(target, basis)
+
+    monkeypatch.setattr(verification, "bracket", spy_bracket)
+    monkeypatch.setattr(verification, "express", lost_express)
+    rep = verification.suite_reconstruction(None)
+    failed = [c.label for c in rep.checks if not c.ok]
+    assert failed == [f"centralizer {sign} negated frame map is a Lie isomorphism "
+                      "onto the reference basis" for sign in ("plus", "minus")]
 
 
 def test_splitting_rejects_non_orthonormal_frames():

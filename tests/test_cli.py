@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -80,6 +81,20 @@ def test_iso_command_identifies_a_stabilizer():
     assert payload["algebra"] == "su3"
     assert payload["dim"] == 8
     assert len(payload["basis"]) == 8
+
+
+# stdout and exit code of the README examples, recorded once; verify-all
+# is left out for its run time
+README_DIR = Path(__file__).parent / "data" / "readme"
+README_EXAMPLES = json.loads((README_DIR / "examples.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", sorted(README_EXAMPLES))
+def test_readme_examples_print_their_recorded_output(name):
+    example = README_EXAMPLES[name]
+    r = dispatch(example["argv"])
+    assert r.exit_code == example["exit_code"]
+    assert r.payload == (README_DIR / f"{name}.stdout").read_text(encoding="utf-8")
 
 
 def test_curvature_command_runs_all_checks():

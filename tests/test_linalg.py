@@ -1,4 +1,7 @@
+from hypothesis import example, given, settings, strategies as st
+
 from spin7 import linalg
+from spin7.exterior import DIM, monomials
 from spin7.scalars import SQRT3, Scalar, dot, rational
 
 
@@ -71,3 +74,42 @@ def test_column_maps_apply_transpose_and_kernel():
         {0: Scalar(1), 1: Scalar(2)}
     assert linalg.kernel(columns, range(4)) == [{2: Scalar(1), 0: Scalar(-1), 1: Scalar(-1)},
                                          {3: Scalar(1)}]
+
+
+# the unknowns of the Ricci solve and of the curvature-operator spaces
+PAIR_KEYS = [(i, j) for i in range(1, DIM + 1) for j in range(i, DIM + 1)]
+MEMBER_KEYS = [(m, a) for m in monomials(2)[:8] for a in range(3)]
+_VALUES = [Scalar(1), Scalar(-2), rational(1, 2), SQRT3, 1 - SQRT3]
+
+
+def _systems(keys):
+    rows = st.lists(st.dictionaries(st.sampled_from(keys), st.sampled_from(_VALUES),
+                                    max_size=4), min_size=1, max_size=8)
+    vectors = st.dictionaries(st.sampled_from(keys), st.sampled_from(_VALUES), max_size=4)
+    return st.tuples(st.just(keys), rows, vectors,
+                     st.lists(st.sampled_from(_VALUES), min_size=8, max_size=8),
+                     st.sampled_from(["consistent", "drawn", "contradicted"]))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from([PAIR_KEYS, MEMBER_KEYS]).flatmap(_systems))
+# eliminating (1, 1) from the second row appends (1, 3) behind the
+# augmented column, which must still sort after it
+@example((PAIR_KEYS, [{(1, 1): Scalar(1), (1, 3): Scalar(1)}, {(1, 1): Scalar(1)}],
+          {(1, 1): Scalar(1), (1, 3): Scalar(-1)}, _VALUES[:1] * 8, "consistent"))
+def test_solve_over_tuple_keys_is_the_int_renumbered_solve(system):
+    keys, rows, x, drawn, kind = system
+    if kind == "consistent":
+        rhs = [dot(row, x) for row in rows]
+    else:
+        rhs = drawn[:len(rows)]
+    if kind == "contradicted":
+        rows, rhs = rows + [rows[0]], rhs + [rhs[0] + 1]
+    index = {k: n for n, k in enumerate(sorted(keys))}
+    new = linalg.solve(rows, rhs)
+    old = linalg.solve([{index[k]: v for k, v in row.items()} for row in rows], rhs)
+    assert (new is None) == (old is None)
+    if kind != "drawn":
+        assert (new is None) == (kind == "contradicted")
+    if new is not None:
+        assert list(new.items()) == [(sorted(keys)[n], v) for n, v in old.items()]

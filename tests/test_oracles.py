@@ -8,7 +8,10 @@ contractions, the bracket as a commutator of dense skew 8x8 matrices, and
 the rotation of a vector read off that matrix.  The two hand-split
 parsers of scalar and form strings are kept the same way, and so is the
 renumbering of the monomials of a grade as 0..C(8, k)-1 that the linear
-algebra once ran on.
+algebra once ran on.  The Ricci tensors are checked against the dense
+symmetric 8x8 matrices they were, the spinor solve against its run over
+int-renumbered unknowns, and the reconstructed Lie algebras against the
+upper-triangle bracket table read with sign flips.
 """
 
 import re
@@ -19,13 +22,18 @@ from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from spin7 import curvature, linalg
-from spin7.curvature import (CurvatureTensor, build_rc, case_family,
-                             cyclic_residue, dyad)
+from spin7 import curvature, linalg, structure
+from spin7.classify import reconstruct_lie_algebra
+from spin7.clifford import gamma_apply
+from spin7.curvature import (CASE_HOLONOMY, CurvatureTensor, build_rc,
+                             case_family, cyclic_residue, dyad)
 from spin7.exterior import (DIM, E, MultiVector, evaluate, form, inner,
                             monomials, sigma_t)
-from spin7.liealg import act_on_form, algebra, bracket, express
-from spin7.scalars import SQRT3, ZERO, ParseError, Scalar, add_to, rational
+from spin7.liealg import (CATALOG_NAMES, act_on_form, algebra, bracket,
+                          express, invariant_spinors)
+from spin7.scalars import (ONE, SQRT3, ZERO, ParseError, Scalar, add_to,
+                           rational)
+from spin7.verification import load_golden
 
 _VALUES = [Scalar(1), Scalar(2), rational(1, 2), SQRT3, 1 + SQRT3]
 coeffs = st.sampled_from(_VALUES + [-v for v in _VALUES])
@@ -116,6 +124,16 @@ def _matches_oracle(tensor: CurvatureTensor, pieces, quads) -> bool:
 dyads = st.lists(st.tuples(coeffs, two_forms, two_forms), max_size=3)
 
 
+def _perturbed(rc: CurvatureTensor, raw) -> CurvatureTensor:
+    """rc plus the operator of the drawn dyads."""
+    columns = {m: dict(col) for m, col in rc.columns.items()}
+    extra = CurvatureTensor.from_dyads([dyad(c, left, right) for c, left, right in raw])
+    for m, col in extra.columns.items():
+        for n, v in col.items():
+            add_to(columns.setdefault(m, {}), n, v)
+    return CurvatureTensor(columns)
+
+
 @examples
 @given(dyads, two_forms, quadruples)
 def test_dyad_built_columns_match_the_dyad_sum(raw, a, quads):
@@ -150,13 +168,7 @@ def test_cyclic_residue_matches_the_evaluated_torsion(case, raw, torsion, drawn)
     own = case_family(case, params).torsion(params)
     t = {"none": None, "own": own, "twice": own * 2, "drawn": drawn}[torsion]
     rc = build_rc(case, params)
-    columns = {m: dict(col) for m, col in rc.columns.items()}
-    extra = CurvatureTensor.from_dyads([dyad(c, left, right) for c, left, right in raw])
-    for m, col in extra.columns.items():
-        for n, v in col.items():
-            add_to(columns.setdefault(m, {}), n, v)
-    perturbed = CurvatureTensor(columns)
-    for r in (rc, perturbed):
+    for r in (rc, _perturbed(rc, raw)):
         assert cyclic_residue(r, t) == evaluated_cyclic_residue(r, t)
     assert cyclic_residue(rc, own) and not cyclic_residue(rc)
 
@@ -317,6 +329,225 @@ def test_bianchi_space_over_pair_unknowns_matches_the_int_unknowns(h, symmetric)
     new = [r.columns for r in curvature.bianchi_space(h, symmetric)]
     assert [_ordered(c) for c in new] == \
         [_ordered(c) for c in bianchi_space_int(h, symmetric)]
+
+
+# ---------------------------------------------------------------------------
+# Ricci tensors: the dense symmetric 8x8 matrices, and the spinor solve over
+# the unknowns (i, j), i <= j, renumbered as ints
+
+def dense_ricci_solver(t, h):
+    spinors = invariant_spinors(h)
+    square = structure._square_map(t, structure._shift(t))
+    if any(linalg.apply(square, psi) for psi in spinors):
+        return None
+
+    pairs = [(i, j) for i in range(1, DIM + 1) for j in range(i, DIM + 1)]
+    col_of = {p: n for n, p in enumerate(pairs)}
+    rows, rhs = [], []
+    for psi in spinors:
+        gammas = [gamma_apply(j, psi) for j in range(1, DIM + 1)]
+        for k in range(1, DIM + 1):
+            target = linalg.apply(square, gammas[k - 1])
+            slots = set(target)
+            for j in range(1, DIM + 1):
+                slots.update(gammas[j - 1])
+            for s in sorted(slots):
+                row = {}
+                for j in range(1, DIM + 1):
+                    v = gammas[j - 1].get(s, ZERO)
+                    if not v.is_zero:
+                        col = col_of[(min(j, k), max(j, k))]
+                        row[col] = row.get(col, ZERO) + Scalar(-4) * v
+                rows.append(row)
+                rhs.append(target.get(s, ZERO))
+    sol = linalg.solve(rows, rhs)
+    if sol is None:
+        return None
+    ric = [[ZERO] * DIM for _ in range(DIM)]
+    for (i, j), n in col_of.items():
+        v = sol.get(n, ZERO)
+        ric[i - 1][j - 1] = v
+        ric[j - 1][i - 1] = v
+    return ric
+
+
+def dense_ricci(r: CurvatureTensor):
+    out = [[ZERO] * DIM for _ in range(DIM)]
+    for x in range(1, DIM + 1):
+        for y in range(x, DIM + 1):
+            tot = sum((r.entry(i, x, y, i) for i in range(1, DIM + 1)), ZERO)
+            out[x - 1][y - 1] = out[y - 1][x - 1] = tot
+    return out
+
+
+def upper_nonzero(dense):
+    """The nonzero entries (i, j), i <= j, of a dense matrix, 1-based."""
+    return {(i + 1, j + 1): dense[i][j] for i in range(DIM) for j in range(i, DIM)
+            if not dense[i][j].is_zero}
+
+
+def _family_torsion(fam_id, values):
+    fam = structure.FAMILIES[fam_id]
+    return fam.torsion(dict(zip(fam.params, values)))
+
+
+family_torsions = st.builds(_family_torsion, st.sampled_from(sorted(structure.FAMILIES)),
+                            st.lists(coeffs, min_size=3, max_size=3))
+torsions = st.one_of(family_torsions, three_forms,
+                     st.builds(lambda a, b: a + b, family_torsions, three_forms))
+
+
+@settings(deadline=None, max_examples=40)
+@given(torsions, st.sampled_from(CATALOG_NAMES + ("zero",)))
+def test_ricci_solver_map_is_the_upper_half_of_the_dense_solve(t, name):
+    h = algebra(name)
+    ric, dense = structure.ricci_solver(t, h), dense_ricci_solver(t, h)
+    assert (ric is None) == (dense is None)
+    if ric is not None:
+        assert ric == upper_nonzero(dense)
+        assert structure.diagonal(ric) == [dense[i][i] for i in range(DIM)]
+
+
+def test_ricci_solver_agrees_on_an_inconsistent_solve():
+    # the square condition holds on the so3diag spinors, the system does not
+    t = structure.FAMILIES["5.4"].torsion({"b1": 1})
+    h = algebra("so3diag")
+    assert structure.square_condition_holds(t, invariant_spinors(h))
+    assert dense_ricci_solver(t, h) is None and structure.ricci_solver(t, h) is None
+
+
+_GOLDEN_CASES = load_golden("curvature_cases.json")["cases"]
+
+
+@examples
+@given(st.sampled_from(sorted(CASE_HOLONOMY)), dyads)
+def test_operator_ricci_map_is_the_upper_half_of_the_dense_trace(case, raw):
+    params = {k: Scalar.parse(v) for k, v in _GOLDEN_CASES[case]["samples"][0]["params"].items()}
+    rc = build_rc(case, params)
+    for r in (rc, _perturbed(rc, raw)):
+        assert r.ricci() == upper_nonzero(dense_ricci(r))
+
+
+# ---------------------------------------------------------------------------
+# reconstructed Lie algebras: the upper-triangle bracket table
+
+class TriangleAlgebra:
+    """The bracket table {(i, j): [e_i, e_j]} over i < j, read with a sign
+    flip for i > j; ad(e_i) is rebuilt from it for the Killing form."""
+
+    def __init__(self, dim, structure_table):
+        self.dim, self.structure = dim, structure_table
+
+    def bracket_vec(self, x, y):
+        out = {}
+        for i, xi in x.items():
+            for j, yj in y.items():
+                if i == j:
+                    continue
+                row = self.structure.get((i, j))
+                sign = 1
+                if row is None:
+                    row = self.structure.get((j, i))
+                    sign = -1
+                if not row:
+                    continue
+                c = xi * yj
+                for m, v in row.items():
+                    add_to(out, m, c * v if sign == 1 else -(c * v))
+        return out
+
+    def killing_nondegenerate(self):
+        ads = [{k: col for k in range(self.dim)
+                if (col := self.bracket_vec({i: ONE}, {k: ONE}))}
+               for i in range(self.dim)]
+        rows = []
+        for p in ads:
+            row = {}
+            for j, q in enumerate(ads):
+                tr = sum((linalg.apply(p, col).get(k, ZERO)
+                          for k, col in q.items()), ZERO)
+                if not tr.is_zero:
+                    row[j] = tr
+            rows.append(row)
+        return linalg.rank(rows) == self.dim
+
+    def jacobi_ok(self):
+        n = self.dim
+        for i in range(n):
+            for j in range(i + 1, n):
+                for k in range(j + 1, n):
+                    tot = {}
+                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                        inner_br = self.bracket_vec({a: ONE}, {b: ONE})
+                        for m, v in self.bracket_vec(inner_br, {c: ONE}).items():
+                            add_to(tot, m, v)
+                    if tot:
+                        return False
+        return True
+
+
+def triangle_table(t, r, h, dims):
+    """The bracket table of reconstruct_lie_algebra, built entry by entry."""
+    nh, pos = len(h), {d: i for i, d in enumerate(dims)}
+    table = {}
+
+    def h_coords(w):
+        return {} if w.is_zero else express(w, h)
+
+    def put(i, j, co):
+        if co:
+            table[(i, j)] = co
+
+    for a in range(nh):
+        for b in range(a + 1, nh):
+            put(a, b, h_coords(bracket(h[a], h[b])))
+        for d in dims:
+            put(a, nh + pos[d], {nh + pos[i]: c for (i,), c in bracket(h[a], E[d]).terms.items()})
+    for xi, x in enumerate(dims):
+        for y in dims[xi + 1:]:
+            co = {}
+            if r is not None:
+                for m, v in h_coords(r.apply(MultiVector.monomial((x, y)))).items():
+                    co[m] = -v
+            for z in dims:
+                add_to(co, nh + pos[z], -evaluate(t, [E[x], E[y], E[z]]))
+            put(nh + pos[x], nh + pos[y], co)
+    return table
+
+
+def _example(which):
+    """The inputs of `spin7 reconstruct --example which`."""
+    if which == 3:
+        return (structure.FAMILIES["5.2-I"].torsion({"a1": 1}), build_rc("5.2.2", {"a1": 1}),
+                algebra("t2"), list(range(1, 8)))
+    values = {1: {"a1": 1, "b1": -1, "b2": 0},
+              2: {"a1": rational(4, 7), "b1": rational(3, 7), "b2": SQRT3}}[which]
+    return structure.FAMILIES["5.1"].torsion(values), None, [], list(range(1, DIM + 1))
+
+
+def _agrees_with_the_triangle(t, r, h, dims):
+    rec = reconstruct_lie_algebra(t, r, h, dims)
+    ref = TriangleAlgebra(len(h) + len(dims), triangle_table(t, r, h, dims))
+    assert rec.dim == ref.dim
+    assert rec.structure == ref.structure
+    assert rec.jacobi_ok == ref.jacobi_ok()
+    assert rec.killing_nondegenerate() == ref.killing_nondegenerate()
+    for i in range(rec.dim):
+        for j in range(rec.dim):
+            assert rec.bracket_vec({i: ONE}, {j: SQRT3}) == ref.bracket_vec({i: ONE}, {j: SQRT3})
+    return rec
+
+
+def test_reconstruction_examples_match_the_triangle_table():
+    got = [_agrees_with_the_triangle(*_example(which)) for which in (1, 2, 3)]
+    assert [(r.dim, r.jacobi_ok, r.killing_nondegenerate()) for r in got] == \
+        [(8, True, False), (8, True, True), (9, True, True)]
+
+
+@examples
+@given(three_forms)
+def test_flat_reconstruction_matches_the_triangle_table(t):
+    _agrees_with_the_triangle(t, None, [], list(range(1, DIM + 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Deterministic work counts on one curvature case.
+"""Deterministic work counts on one curvature case and one rebuilt Lie algebra.
 
 Call counts, unlike timers, are free of noise, so a change that brings
 back redundant work fails here.  Each counted function is wrapped in
@@ -9,7 +9,10 @@ name into another module is counted too.
 import sys
 
 from spin7 import exterior
+from spin7.classify import ReconstructedAlgebra, reconstruct_lie_algebra
 from spin7.curvature import CurvatureTensor, build_rc, case_family, cyclic_residue
+from spin7.scalars import SQRT3, rational
+from spin7.structure import FAMILIES
 
 CASE = "5.3.1-I"
 PARAMS = {"a1": 1, "a2": 2, "b1": 3}
@@ -48,4 +51,12 @@ def test_ricci_and_cyclic_residue_never_apply_the_operator(monkeypatch):
     calls = _count_calls(monkeypatch, [CurvatureTensor], "apply")
     rc.ricci()
     assert cyclic_residue(rc, t)
+    assert calls == []
+
+
+def test_killing_form_reads_the_stored_brackets(monkeypatch):
+    t = FAMILIES["5.1"].torsion({"a1": rational(4, 7), "b1": rational(3, 7), "b2": SQRT3})
+    rec = reconstruct_lie_algebra(t, None, [])
+    calls = _count_calls(monkeypatch, [ReconstructedAlgebra], "bracket_vec")
+    assert rec.killing_nondegenerate()
     assert calls == []
