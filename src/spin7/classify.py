@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import linalg
-from .curvature import (CurvatureTensor, bianchi_dim_positive, build_rc,
+from .curvature import (CurvatureTensor, bianchi_dim, build_rc,
                         case_weights, invariant_ricci_family)
 from .exterior import (DIM, E, MultiVector, contract, evaluate, form,
                        inner, wedge)
@@ -56,7 +56,8 @@ class ClassificationRow:
 # excluded entries record (exclusion kind, reason).  One-parameter rows
 # mark inconsistency exclusions with "scaling": the Ricci system scales
 # quadratically in the parameter, so one witness settles every nonzero
-# value.
+# value.  A row with "escape" exclusions names, as "escape_case", the
+# operator case whose range leaks out of the candidate.
 
 _SLOPE_REP = {"l0": (1, 0), "k0": (0, 1), "kl": (1, 1)}
 
@@ -65,6 +66,7 @@ _ROWS: dict[str, dict] = {
         "family": "5.1",
         "fixed": {"b1": 0, "b2": 0},
         "witnesses": {"generic": {"a1": 1}},
+        "escape_case": "5.1.1",
         "admissible": {
             "g2": ("generic", "", None),
             "su2+su2c": ("generic", "", None),
@@ -144,6 +146,7 @@ _ROWS: dict[str, dict] = {
         "family": "5.2-I",
         "fixed": {},
         "witnesses": {"generic": {"a1": 1}},
+        "escape_case": "5.2.2",
         "admissible": {
             "su3": ("generic", "", None),
             "u2": ("generic", "", None),
@@ -218,11 +221,6 @@ _ROWS: dict[str, dict] = {
 _GROUP_LABEL = {"so3diag": "so3"}
 
 
-@lru_cache(maxsize=None)
-def _knz(name: str) -> bool:
-    return bianchi_dim_positive(name)
-
-
 def _slope_class(k: Scalar, l: Scalar) -> str:
     if l.is_zero:
         return "l0"
@@ -231,13 +229,13 @@ def _slope_class(k: Scalar, l: Scalar) -> str:
     return "kl"
 
 
-def _family_with(row: dict, assignment: dict) -> tuple[MultiVector, str]:
+def _family_with(row: dict, assignment: dict) -> tuple[dict, MultiVector, str]:
+    """The row's fixed parameters completed by the assignment, with its
+    torsion and the printed parameter list."""
     fam = FAMILIES[row["family"]]
-    full = dict(row["fixed"])
-    full.update(assignment)
-    t = fam.torsion(full)
+    full = {**row["fixed"], **assignment}
     text = ", ".join(f"{p} = {Scalar.coerce(full[p])}" for p in fam.params)
-    return t, text
+    return full, fam.torsion(full), text
 
 
 def _verify_operator(case: str, assignment: dict, h: list[MultiVector],
@@ -278,7 +276,7 @@ def run_recipe(iso: str, hol: str, k: ScalarLike = 1, l: ScalarLike = 0) -> Clas
         label = hol
     row = _ROWS[iso]
     g = algebra(iso)
-    knz = _knz(hol)
+    knz = bianchi_dim(hol) > 0
     fam_id = row["family"]
 
     if h and not all(in_span(w, g) for w in h):
@@ -287,28 +285,24 @@ def run_recipe(iso: str, hol: str, k: ScalarLike = 1, l: ScalarLike = 0) -> Clas
     spec = row["admissible"].get(hol_key)
     if spec is not None:
         locus, constraint, case = spec
-        prm = dict(row["witnesses"][locus])
-        t, text = _family_with(row, prm)
+        full, t, text = _family_with(row, row["witnesses"][locus])
         if t.is_zero:
             raise AssertionError(f"witness torsion vanished for ({iso}, {label})")
         sol = ricci_solver(t, h)
         if sol is None:
             raise AssertionError(f"witness lost consistency for ({iso}, {label})")
         if case is not None:
-            full = dict(row["fixed"])
-            full.update(prm)
             _verify_operator(case, full, h, sol, f"({iso}, {label})")
         diag = ", ".join(str(v) for v in diagonal(sol))
         return ClassificationRow(iso, label, knz, fam_id, text,
                                  f"diag({diag})", constraint, True)
 
+    full, t, text = _family_with(row, row["witnesses"]["generic"])
     kind_reason = row["excluded"].get(hol_key)
     if kind_reason is None:
-        _, text = _family_with(row, row["witnesses"]["generic"])
         return ClassificationRow(iso, label, knz, fam_id, text, "", "",
                                  False, "pair not covered by the decision rows")
     kind, reason = kind_reason
-    t, text = _family_with(row, row["witnesses"]["generic"])
 
     if kind == "inconsistent":
         if ricci_solver(t, h) is not None:
@@ -316,10 +310,7 @@ def run_recipe(iso: str, hol: str, k: ScalarLike = 1, l: ScalarLike = 0) -> Clas
     elif kind == "escape":
         # the system is consistent, but the candidate operator of the
         # case leaks out of the span unless the torsion vanishes
-        case = {"g2": "5.1.1", "su3": "5.2.2"}[iso]
-        full = dict(row["fixed"])
-        full.update(row["witnesses"]["generic"])
-        if build_rc(case, full).range_inside(h):
+        if build_rc(row["escape_case"], full).range_inside(h):
             raise AssertionError(f"operator stopped leaking for ({iso}, {label})")
     elif kind == "locus":
         for elim_id in ("5.3-I", "5.3-II"):

@@ -5,10 +5,14 @@ images of the 28 coordinate 2-forms (`linalg` column form, keyed by the
 index pairs (i, j) of `MultiVector.terms`), so an entry
 R(e_i, e_j, e_k, e_l) is a lookup.  The closed-form operators are written
 as sums of dyads coeff * left * <right, .> and expanded into columns once.
-The module provides the first Bianchi solver (with and without operator
-symmetry), the closed-form curvature operators attached to the torsion
-families, Ricci contraction, the torsion-corrected Bianchi identity, and
-the families of Ricci tensors reachable by invariant symmetric operators.
+The module provides the cyclic sum of the first Bianchi identity, read
+from the nonzero entries, with its torsion-corrected form; the
+closed-form curvature operators attached to the torsion families; Ricci
+contraction; and two spaces of symmetric operators into a subalgebra h.
+Each space is a kernel over S^2(h) of a test that also checks single
+operators: Bianchi space members kill the cyclic sum, and the
+h-invariant operators, whose Ricci tensors form a family, kill the
+commutators with the rotations from h.
 
 The plain first Bianchi identity fails for a connection with parallel
 skew torsion; its cyclic sum equals the associated 4-form instead.  That
@@ -20,11 +24,12 @@ from __future__ import annotations
 
 from collections import defaultdict
 from functools import lru_cache
+from typing import Callable
 
 from . import linalg
-from .exterior import DIM, Index, MultiVector, monomials, sigma_t
+from .exterior import DIM, Index, MultiVector, merge_sign, monomials, sigma_t
 from .liealg import SPIN7_BASIS, algebra, rotation
-from .scalars import ZERO, Scalar, ScalarLike, SQRT15, add_to, rational
+from .scalars import ONE, ZERO, Scalar, ScalarLike, SQRT15, add_to, rational
 from .structure import FAMILIES, Params, Ricci, TorsionFamily
 
 Dyad = tuple[Scalar, MultiVector, MultiVector]
@@ -74,13 +79,7 @@ class CurvatureTensor:
 
     def invariant_under(self, h: list[MultiVector]) -> bool:
         """Whether the operator commutes with the rotations from h."""
-        for w in h:
-            rot = rotation(w, 2)
-            for m in monomials(2):
-                lhs = linalg.apply(rot, self.columns.get(m, {}))
-                if lhs != linalg.apply(self.columns, rot.get(m, {})):
-                    return False
-        return True
+        return not any(_commutator(self.columns, rotation(w, 2)) for w in h)
 
     def ricci(self) -> Ricci:
         """The zero-free map {(x, y): Ric(e_x, e_y)} over x <= y, where
@@ -99,8 +98,41 @@ def _pair(i: int, j: int) -> tuple[Index, int]:
     return ((i, j), 1) if i < j else ((j, i), -1)
 
 
+def _commutator(r: dict[Index, linalg.Row],
+                rot: dict[Index, linalg.Row]) -> dict[Index, linalg.Row]:
+    """Zero-free columns of r o rot - rot o r, for two maps on 2-forms."""
+    out = {}
+    for m in monomials(2):
+        col = linalg.apply(r, rot.get(m, {}))
+        for n, v in linalg.apply(rot, r.get(m, {})).items():
+            add_to(col, n, -v)
+        if col:
+            out[m] = col
+    return out
+
+
 def dyad(c: ScalarLike, left: MultiVector, right: MultiVector | None = None) -> Dyad:
     return Scalar.coerce(c), left, left if right is None else right
+
+
+def cyclic_sum(r: CurvatureTensor) -> dict[Index, Scalar]:
+    """The zero-free map {(i, j, k, v): sum_cyc R(e_i, e_j, e_k, e_v)}
+    over i < j < k.
+
+    An entry c = R(e_x, e_y, e_z, e_w) of column (x, y) enters the sum at
+    the sorted triple of x, y, z with v = w, and, since
+    R(e_x, e_y, e_w, e_z) = -c, at the sorted triple of x, y, w with v = z.
+    The cyclic terms are the even orders of the triple, so each enters with
+    the sign of sorting (x, y, third).
+    """
+    out: dict[Index, Scalar] = {}
+    for m, col in r.columns.items():
+        for (z, w), c in col.items():
+            for third, v, value in ((z, w, c), (w, z, -c)):
+                triple, sign = merge_sign(m, (third,))
+                if sign:
+                    add_to(out, triple + (v,), value if sign > 0 else -value)
+    return out
 
 
 def cyclic_residue(r: CurvatureTensor, t: MultiVector | None = None) -> bool:
@@ -111,19 +143,13 @@ def cyclic_residue(r: CurvatureTensor, t: MultiVector | None = None) -> bool:
     the coefficient of e_ijkv in the determinant convention; the constant
     in front is 1 in the conventions used here.
     """
-    sig = sigma_t(t) if t is not None else None
-    for i in range(1, DIM + 1):
-        for j in range(i + 1, DIM + 1):
-            for k in range(j + 1, DIM + 1):
-                for v in range(1, DIM + 1):
-                    tot = (r.entry(i, j, k, v)
-                           + r.entry(j, k, i, v)
-                           + r.entry(k, i, j, v))
-                    if sig is not None:
-                        tot = tot - sig.coeff((i, j, k, v))
-                    if not tot.is_zero:
-                        return False
-    return True
+    want: dict[Index, Scalar] = {}
+    if t is not None:
+        for q, c in sigma_t(t).terms.items():
+            for pos, v in enumerate(q):
+                triple = q[:pos] + q[pos + 1:]
+                want[triple + (v,)] = c if merge_sign(triple, (v,))[1] > 0 else -c
+    return cyclic_sum(r) == want
 
 
 # ---------------------------------------------------------------------------
@@ -251,109 +277,57 @@ CASE_HOLONOMY = {
 # ---------------------------------------------------------------------------
 # spaces of algebraic curvature operators
 #
-# An operator into span(h) is the vector x with R = sum x[(m, a)] h_a <e_m, .>
-# over the coordinate 2-forms e_m and the members h_a of h.
+# A symmetric operator into span(h) is an element of S^2(h): the key
+# (a, b), a <= b, stands for h_a <h_b, .> + h_b <h_a, .>, or for the one
+# dyad h_a <h_a, .> when a = b; the keys are independent when the members
+# of h are.  Each space is the kernel, over those keys, of the linear test
+# that checks a single operator.
 
-def _unknowns(h: list[MultiVector]) -> list[tuple[Index, int]]:
-    return [(m, a) for m in monomials(2) for a in range(len(h))]
-
-
-def _symmetry_rows(h: list[MultiVector]) -> list[linalg.Row]:
-    """The rows <R(e_m), e_n> = <R(e_n), e_m> for m < n."""
-    mons = monomials(2)
-    rows: list[linalg.Row] = []
-    for p, m in enumerate(mons):
-        for n in mons[p + 1:]:
-            row: linalg.Row = {}
-            for a, w in enumerate(h):
-                if n in w.terms:
-                    row[(m, a)] = w.terms[n]
-                if m in w.terms:
-                    row[(n, a)] = -w.terms[m]
-            if row:
-                rows.append(row)
-    return rows
+def _s2_operator(x: linalg.Row, h: list[MultiVector]) -> CurvatureTensor:
+    """The operator sum_(a, b) x[(a, b)] (h_a <h_b, .> + h_b <h_a, .>),
+    with one dyad for a = b."""
+    pieces = []
+    for (a, b), c in x.items():
+        pieces.append(dyad(c, h[a], h[b]))
+        if a != b:
+            pieces.append(dyad(c, h[b], h[a]))
+    return CurvatureTensor.from_dyads(pieces)
 
 
-def _operator(sol: linalg.Row, h: list[MultiVector]) -> CurvatureTensor:
-    """The operator of a solution vector x: column m is sum_a x[(m, a)] h_a."""
-    columns: dict[Index, linalg.Row] = defaultdict(dict)
-    for (m, a), c in sol.items():
-        for n, v in h[a].terms.items():
-            add_to(columns[m], n, c * v)
-    return CurvatureTensor(columns)
+def _s2_kernel(h: list[MultiVector],
+               test: Callable[[CurvatureTensor], linalg.Row]) -> list[CurvatureTensor]:
+    """Basis of the operators of S^2(h) that the linear map test, from an
+    operator to a zero-free row, sends to zero."""
+    keys = [(a, b) for a in range(len(h)) for b in range(a, len(h))]
+    images = {key: test(_s2_operator({key: ONE}, h)) for key in keys}
+    return [_s2_operator(x, h) for x in linalg.kernel(images, keys)]
 
 
-def bianchi_space(h: list[MultiVector], symmetric: bool = True) -> list[CurvatureTensor]:
+def bianchi_space(h: list[MultiVector]) -> list[CurvatureTensor]:
     """Basis of the operators into span(h) killed by the cyclic sum.
 
-    Symmetry is imposed by default; pass symmetric=False for the raw
-    cyclic-sum kernel.  Both dimensions are worth reporting since the
-    displayed definition of the space fixes only the cyclic condition.
+    The first Bianchi identity forces pair symmetry, so the symmetric
+    operators of S^2(h) already carry the whole space.
     """
-    if not h:
-        return []
-    rows: list[linalg.Row] = []
-    for i in range(1, DIM + 1):
-        for j in range(i + 1, DIM + 1):
-            for k in range(j + 1, DIM + 1):
-                for v in range(1, DIM + 1):
-                    # sum_cyc <R(e_x ^ e_y), e_z ^ e_v> with R(e_m) = sum_a x[(m, a)] h_a
-                    row: linalg.Row = {}
-                    for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j)):
-                        if z == v:
-                            continue
-                        (m, s), (n, t) = _pair(x, y), _pair(z, v)
-                        for a, w in enumerate(h):
-                            c = w.terms.get(n)
-                            if c is not None:
-                                add_to(row, (m, a), c if s == t else -c)
-                    if row:
-                        rows.append(row)
-    if symmetric:
-        rows += _symmetry_rows(h)
-    return [_operator(sol, h) for sol in linalg.nullspace(rows, _unknowns(h))]
+    return _s2_kernel(h, cyclic_sum)
 
 
 @lru_cache(maxsize=None)
-def _su2_witness() -> CurvatureTensor:
-    p = SPIN7_BASIS
-    return CurvatureTensor.from_dyads([dyad(1, p[4]), dyad(-1, p[5])])
-
-
-def bianchi_dim_positive(name: str) -> bool:
-    """Whether the Bianchi space of a catalog algebra is nontrivial.
-
-    Small algebras are settled by full elimination.  The larger ones all
-    contain the 3-dim algebra span(e_13+e_24, e_14-e_23, e_12-e_34), and
-    a fixed operator into that algebra passes the cyclic-sum test, so a
-    witness check suffices.
-    """
-    h = algebra(name)
-    if len(h) >= 6:
-        w = _su2_witness()
-        if not (w.range_inside(h) and w.is_symmetric() and cyclic_residue(w)):
-            raise AssertionError("witness operator failed where elimination was skipped")
-        return True
-    return len(bianchi_space(h, symmetric=False)) > 0
+def bianchi_dim(name: str) -> int:
+    """Dimension of the Bianchi space of a catalog algebra."""
+    return len(bianchi_space(algebra(name)))
 
 
 def invariant_ricci_family(h: list[MultiVector]) -> list[Ricci]:
     """Ricci tensors of symmetric h-invariant operators into span(h), as
     `CurvatureTensor.ricci` maps: an independent set spanning them all."""
-    if not h:
-        return []
-    rows = _symmetry_rows(h)
-    # invariance rows: act(w, S(e_m)) - S(act(w, e_m)) = 0, as a map of x
-    for w in h:
-        rot = rotation(w, 2)
-        img = [linalg.apply(rot, ha.terms) for ha in h]
-        for m in monomials(2):
-            columns = {(m, a): img[a] for a in range(len(h))}
-            for n, c in rot.get(m, {}).items():
-                for a, ha in enumerate(h):
-                    columns[(n, a)] = {slot: -(c * v) for slot, v in ha.terms.items()}
-            rows.extend(linalg.transpose(columns).values())
-    riccis = [_operator(sol, h).ricci() for sol in linalg.nullspace(rows, _unknowns(h))]
+    rotations = [rotation(w, 2) for w in h]
+
+    def commutators(r: CurvatureTensor) -> linalg.Row:
+        return {(i, m, n): v for i, rot in enumerate(rotations)
+                for m, col in _commutator(r.columns, rot).items()
+                for n, v in col.items()}
+
     ech = linalg.Echelon()
+    riccis = [r.ricci() for r in _s2_kernel(h, commutators)]
     return [ric for ric in riccis if ech.add_row(ric) is not None]

@@ -1,11 +1,13 @@
+import random
+
 import pytest
 
-from spin7.curvature import (CASE_HOLONOMY, CurvatureTensor,
-                             bianchi_dim_positive, bianchi_space, build_rc,
-                             case_operator, cyclic_residue, dyad,
-                             vanishing_constraints)
+from spin7 import verification
+from spin7.curvature import (CASE_HOLONOMY, CurvatureTensor, bianchi_dim,
+                             bianchi_space, build_rc, case_operator,
+                             cyclic_residue, dyad, vanishing_constraints)
 from spin7.exterior import form
-from spin7.liealg import algebra
+from spin7.liealg import CATALOG_NAMES, algebra
 from spin7.scalars import Scalar, rational
 from spin7.structure import FAMILIES, diagonal
 
@@ -36,9 +38,20 @@ def test_bianchi_space_members_satisfy_the_plain_identity():
     assert bianchi_space(algebra("t2")) == []
 
 
-def test_bianchi_dimension_predicate_matches_space():
-    assert bianchi_dim_positive("r+su2")
-    assert not bianchi_dim_positive("t2")
+# Bryant, Ann. of Math. 126 (1987): 168 for spin7 and 77 for g2; 27 is the
+# Ricci-flat Kahler curvature of C^3 and 5 the anti-self-dual Weyl space
+# of R^4.  Every other catalog algebra carries only the zero operator.
+_BIANCHI_DIMS = {"spin7": 168, "g2": 77, "su3": 27, "su2+su2c": 5, "u2": 5,
+                 "su2": 5, "r+su2": 5}
+
+
+def test_bianchi_dimensions_are_the_literature_values():
+    for name in CATALOG_NAMES:
+        assert bianchi_dim(name) == _BIANCHI_DIMS.get(name, 0), name
+        members = bianchi_space(algebra(name))
+        assert len(members) == bianchi_dim(name)
+        assert all(r.is_symmetric() and r.range_inside(algebra(name)) and cyclic_residue(r)
+                   for r in members), name
 
 
 def test_operators_fail_plain_bianchi_but_pass_with_torsion():
@@ -82,3 +95,15 @@ def _witness(case):
     if case in ("5.2.1", "5.2.2"):
         return {"a1": 1}
     return {"a1": 1, "a2": 1, "b1": 1}
+
+
+def test_curvature_suite_fails_an_off_diagonal_spinor_solve(monkeypatch):
+    # the golden diagonal plus one off-diagonal entry
+    solve = verification.ricci_solver
+    monkeypatch.setattr(verification, "ricci_solver",
+                        lambda t, h: {**solve(t, h), (1, 2): Scalar(1)})
+    rep = verification.suite_curvature(random.Random(0))
+    failed = [c.label for c in rep.checks if not c.ok]
+    cases = verification.load_golden("curvature_cases.json")["cases"]
+    assert len(failed) == sum(len(meta["samples"]) for meta in cases.values())
+    assert all(label.endswith("agrees with the spinor solve") for label in failed)

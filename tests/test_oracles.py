@@ -11,7 +11,10 @@ renumbering of the monomials of a grade as 0..C(8, k)-1 that the linear
 algebra once ran on.  The Ricci tensors are checked against the dense
 symmetric 8x8 matrices they were, the spinor solve against its run over
 int-renumbered unknowns, and the reconstructed Lie algebras against the
-upper-triangle bracket table read with sign flips.
+upper-triangle bracket table read with sign flips.  The Bianchi spaces
+and invariant Ricci families, kernels over S^2(h), are checked for span
+against the rows over the unknowns (monomial, member of h) they were
+solved from, with and without the symmetry rows.
 """
 
 import re
@@ -30,7 +33,7 @@ from spin7.curvature import (CASE_HOLONOMY, CurvatureTensor, build_rc,
 from spin7.exterior import (DIM, E, MultiVector, evaluate, form, inner,
                             monomials, sigma_t)
 from spin7.liealg import (CATALOG_NAMES, act_on_form, algebra, bracket,
-                          express, invariant_spinors)
+                          express, invariant_spinors, rotation)
 from spin7.scalars import (ONE, SQRT3, ZERO, ParseError, Scalar, add_to,
                            rational)
 from spin7.verification import load_golden
@@ -175,22 +178,29 @@ def test_cyclic_residue_matches_the_evaluated_torsion(case, raw, torsion, drawn)
 
 @lru_cache(maxsize=None)
 def _bianchi_solutions(name: str):
-    """The nullspace vectors behind bianchi_space, with the members built."""
+    """The S^2(h) kernel vectors behind bianchi_space, with the members built."""
     h = algebra(name)
     seen = []
-    build = curvature._operator
+    kernel = linalg.kernel
 
-    def record(sol, hcoords):
-        seen.append(sol)
-        return build(sol, hcoords)
+    def record(columns, keys):
+        basis = kernel(columns, keys)
+        seen.extend(basis)
+        return basis
 
-    with mock.patch.object(curvature, "_operator", record):
-        members = curvature.bianchi_space(h, symmetric=False)
+    with mock.patch.object(linalg, "kernel", record):
+        members = curvature.bianchi_space(h)
     return h, seen, members
 
 
 def _solution_dyads(sol, h):
-    return [(c, h[a], MultiVector.monomial(m)) for (m, a), c in sol.items()]
+    """The dyads h_a <h_b, .> + h_b <h_a, .> of the keys (a, b), one for a = b."""
+    pieces = []
+    for (a, b), c in sol.items():
+        pieces.append((c, h[a], h[b]))
+        if a != b:
+            pieces.append((c, h[b], h[a]))
+    return pieces
 
 
 @examples
@@ -205,7 +215,7 @@ def test_solution_vector_columns_match_the_dyad_sum(name, weights, quads):
     for w, sol in zip(weights, sols):
         for key, c in sol.items():
             add_to(combo, key, w * c)
-    tensor = curvature._operator(combo, h)
+    tensor = curvature._s2_operator(combo, h)
     assert _matches_oracle(tensor, _solution_dyads(combo, h), quads)
 
 
@@ -240,8 +250,9 @@ def _pair_int(i, j):
 
 
 def bianchi_space_int(h, symmetric):
-    """The columns of the bianchi_space members, solved over the unknowns
-    m * nh + a and then keyed by monomials."""
+    """The Bianchi space as columns keyed by monomials, solved from the
+    cyclic rows, and the symmetry rows if asked, over the unknowns
+    m * nh + a of the operator R(e_m) = sum_a x[m * nh + a] h_a."""
     nmon, nh = len(monomials(2)), len(h)
     hcoords = [to_coords(w, 2) for w in h]
     rows = []
@@ -322,13 +333,69 @@ def test_kernel_over_monomials_is_the_int_kernel_mapped_through_them(drawn):
     assert [_ordered(r) for r in new] == [_ordered(from_coords(r, source)) for r in old]
 
 
+def invariant_ricci_family_rows(h):
+    """invariant_ricci_family as rows over the unknowns (m, a) of the
+    operator R(e_m) = sum_a x[(m, a)] h_a: symmetry rows, and one row per
+    entry of each commutator with a rotation from h."""
+    if not h:
+        return []
+    mons = monomials(2)
+    rows = []
+    for p, m in enumerate(mons):
+        for n in mons[p + 1:]:
+            row = {}
+            for a, w in enumerate(h):
+                if n in w.terms:
+                    row[(m, a)] = w.terms[n]
+                if m in w.terms:
+                    row[(n, a)] = -w.terms[m]
+            if row:
+                rows.append(row)
+    for w in h:
+        rot = rotation(w, 2)
+        img = [linalg.apply(rot, ha.terms) for ha in h]
+        for m in mons:
+            columns = {(m, a): img[a] for a in range(len(h))}
+            for n, c in rot.get(m, {}).items():
+                for a, ha in enumerate(h):
+                    columns[(n, a)] = {slot: -(c * v) for slot, v in ha.terms.items()}
+            rows.extend(linalg.transpose(columns).values())
+    riccis = []
+    for sol in linalg.nullspace(rows, [(m, a) for m in mons for a in range(len(h))]):
+        columns = defaultdict(dict)
+        for (m, a), c in sol.items():
+            for n, v in h[a].terms.items():
+                add_to(columns[m], n, c * v)
+        riccis.append(CurvatureTensor(columns).ricci())
+    ech = linalg.Echelon()
+    return [ric for ric in riccis if ech.add_row(ric) is not None]
+
+
+def _entries(columns):
+    """An operator's columns as one row keyed by its entries (m, n)."""
+    return {(m, n): v for m, col in columns.items() for n, v in col.items()}
+
+
+def _assert_spaces_agree(h):
+    """The S^2(h) kernels span the row-built spaces: the Bianchi space with
+    and without symmetry rows, and the invariant Ricci family."""
+    new = [_entries(r.columns) for r in curvature.bianchi_space(h)]
+    for symmetric in (False, True):
+        assert linalg.span_equal(new, [_entries(c) for c in bianchi_space_int(h, symmetric)])
+    assert linalg.span_equal(curvature.invariant_ricci_family(h), invariant_ricci_family_rows(h))
+
+
 @settings(deadline=None, max_examples=15)
-@given(st.one_of(st.lists(forms_of(2), min_size=1, max_size=3),
-                st.sampled_from(["su2", "r+su2", "u2"]).map(algebra)), st.booleans())
-def test_bianchi_space_over_pair_unknowns_matches_the_int_unknowns(h, symmetric):
-    new = [r.columns for r in curvature.bianchi_space(h, symmetric)]
-    assert [_ordered(c) for c in new] == \
-        [_ordered(c) for c in bianchi_space_int(h, symmetric)]
+@given(st.lists(forms_of(2), min_size=1, max_size=3))
+def test_s2_kernels_span_the_row_built_spaces_of_drawn_lists(h):
+    _assert_spaces_agree(h)
+
+
+def test_s2_kernels_span_the_row_built_spaces_of_the_catalog():
+    for name in CATALOG_NAMES:
+        _assert_spaces_agree(algebra(name))
+    for k, l in ((1, 0), (0, 1), (1, 1)):
+        _assert_spaces_agree(algebra("t1tilde", k, l))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Deterministic work counts on one curvature case and one rebuilt Lie algebra.
+"""Deterministic work counts on one curvature case, the Bianchi dimensions
+and one rebuilt Lie algebra.
 
 Call counts, unlike timers, are free of noise, so a change that brings
 back redundant work fails here.  Each counted function is wrapped in
@@ -8,9 +9,11 @@ name into another module is counted too.
 
 import sys
 
-from spin7 import exterior
+from spin7 import curvature, exterior
 from spin7.classify import ReconstructedAlgebra, reconstruct_lie_algebra
-from spin7.curvature import CurvatureTensor, build_rc, case_family, cyclic_residue
+from spin7.curvature import (CurvatureTensor, bianchi_dim, build_rc, case_family,
+                             cyclic_residue)
+from spin7.liealg import CATALOG_NAMES
 from spin7.scalars import SQRT3, rational
 from spin7.structure import FAMILIES
 
@@ -40,9 +43,16 @@ def test_cyclic_residue_contracts_only_inside_sigma_t(monkeypatch):
     t = case_family(CASE, PARAMS).torsion(PARAMS)
     calls = _count_calls(monkeypatch, [exterior], "contract")
     assert cyclic_residue(rc, t)
-    # sigma_t contracts once per basis vector; the 448 quadruples read
-    # coefficients of the 4-form
+    # sigma_t contracts once per basis vector; the 4-form is read term by term
     assert len(calls) <= exterior.DIM
+
+
+def test_cyclic_residue_reads_the_columns_not_the_entries(monkeypatch):
+    rc = build_rc(CASE, PARAMS)
+    t = case_family(CASE, PARAMS).torsion(PARAMS)
+    calls = _count_calls(monkeypatch, [CurvatureTensor], "entry")
+    assert cyclic_residue(rc, t) and not cyclic_residue(rc)
+    assert calls == []
 
 
 def test_ricci_and_cyclic_residue_never_apply_the_operator(monkeypatch):
@@ -52,6 +62,15 @@ def test_ricci_and_cyclic_residue_never_apply_the_operator(monkeypatch):
     rc.ricci()
     assert cyclic_residue(rc, t)
     assert calls == []
+
+
+def test_bianchi_dim_solves_each_name_once_per_process(monkeypatch):
+    bianchi_dim.cache_clear()
+    calls = _count_calls(monkeypatch, [curvature], "bianchi_space")
+    for _ in range(2):
+        for name in CATALOG_NAMES:
+            bianchi_dim(name)
+    assert len(calls) == len(CATALOG_NAMES)
 
 
 def test_killing_form_reads_the_stored_brackets(monkeypatch):
