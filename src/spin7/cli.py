@@ -5,8 +5,10 @@ rendering with --format markdown) and communicates success through the
 exit code: 0 when all checks in the command passed, 1 when a check
 failed (the envelope then carries a structured diff), 2 for malformed
 invocations.  JSON output is validated against the schema shipped with
-the package before it is printed, and is byte-identical across runs
-with the same seed.
+the package before it is printed, by a checker for the JSON Schema
+keywords that schema uses, and is byte-identical across runs with the
+same seed.  A command imports only the modules it runs on: `classify`
+and `verification` load inside the handlers that call them.
 """
 
 from __future__ import annotations
@@ -19,14 +21,12 @@ from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
-from .classify import admissible_pairs, reconstruct_lie_algebra
 from .curvature import CASE_HOLONOMY, build_rc, case_family, cyclic_residue
 from .exterior import form, format_form, format_terms
 from .liealg import (algebra, algebra_by_label, invariant_forms,
                      invariant_spinors, iso_algebra)
 from .scalars import SQRT3, ParseError, Scalar, rational
 from .structure import FAMILIES, diagonal, is_diagonal, ricci_solver
-from .verification import run_all, write_golden
 
 
 class UsageError(Exception):
@@ -85,6 +85,7 @@ def _match_key(arg: str, keys: list[str], kind: str) -> str:
 # command handlers; each returns (ok, payload, diff, seed)
 
 def _cmd_verify_all(ns) -> tuple:
+    from .verification import run_all
     reports = run_all(ns.seed)
     payload = {"suites": [r.to_dict() for r in reports]}
     diff = []
@@ -98,6 +99,7 @@ def _cmd_verify_all(ns) -> tuple:
 
 
 def _cmd_table(ns) -> tuple:
+    from .classify import admissible_pairs
     grouped = admissible_pairs()
     rows = [{"isotropy": iso,
              "k_nonzero": list(cols["k_nonzero"]),
@@ -185,6 +187,7 @@ def _structure_json(rec) -> dict:
 
 
 def _cmd_reconstruct(ns) -> tuple:
+    from .classify import reconstruct_lie_algebra
     which = ns.example
     if which == "1":
         t = FAMILIES["5.1"].torsion({"a1": 1, "b1": -1, "b2": 0})
@@ -229,6 +232,7 @@ def _cmd_iso(ns) -> tuple:
 
 
 def _cmd_regen_golden(ns) -> tuple:
+    from .verification import write_golden
     written = write_golden(Path(ns.out))
     return True, {"out": ns.out, "written": written}, [], None
 
@@ -246,17 +250,142 @@ _HANDLERS = {
 
 
 # ---------------------------------------------------------------------------
-# rendering
+# schema check: the JSON Schema 2020-12 keywords that schema.json uses
+
+class SchemaError(ValueError):
+    """A JSON envelope that breaks the shipped schema, at JSON path `path`."""
+
+    def __init__(self, path: str, message: str):
+        super().__init__(f"{path}: {message}")
+        self.path = path
+
+
+# keywords by what they hold: one subschema, a list or a map of
+# subschemas, or plain data
+_SUBSCHEMA = ("additionalProperties", "items", "if", "then")
+_SUBSCHEMA_LIST = ("allOf", "oneOf")
+_SUBSCHEMA_MAP = ("properties", "$defs")
+_DATA = ("$schema", "title", "$ref", "type", "enum", "const", "required",
+         "minItems", "maxItems", "minLength", "minimum")
+_TYPES = {"object": dict, "array": list, "string": str, "integer": int,
+          "boolean": bool, "null": type(None)}
+
+
+def _check_keywords(schema) -> None:
+    """Raise ValueError on a keyword or type name `_check` does not read."""
+    if isinstance(schema, bool):
+        return
+    for key, rule in schema.items():
+        if key in _SUBSCHEMA:
+            _check_keywords(rule)
+        elif key in _SUBSCHEMA_LIST or key in _SUBSCHEMA_MAP:
+            for sub in rule if key in _SUBSCHEMA_LIST else rule.values():
+                _check_keywords(sub)
+        elif key not in _DATA:
+            raise ValueError(f"schema keyword {key!r} is not supported")
+        elif key == "type" and not set(_names(rule)) <= set(_TYPES):
+            raise ValueError(f"schema type {rule!r} is not supported")
+        elif key == "$ref" and not rule.startswith("#/$defs/"):
+            raise ValueError(f"schema reference {rule!r} is not supported")
+        elif key in ("enum", "const") and not all(
+                isinstance(o, str) for o in (rule if key == "enum" else [rule])):
+            raise ValueError(f"schema {key} {rule!r} is not supported: "
+                             "only strings are compared")
+
+
+def _names(rule) -> list:
+    return [rule] if isinstance(rule, str) else rule
+
+
+def _is_type(value, name: str) -> bool:
+    """JSON type test: a bool is not an integer but 2.0 is one, and a
+    tuple is not an array."""
+    if name == "integer":
+        return (isinstance(value, int) and not isinstance(value, bool)
+                or isinstance(value, float) and value.is_integer())
+    return isinstance(value, _TYPES[name])
+
+
+def _passes(value, schema, root: dict) -> bool:
+    try:
+        _check(value, schema, root)
+    except SchemaError:
+        return False
+    return True
+
+
+def _check(value, schema, root: dict, path: str = "$") -> None:
+    """Raise SchemaError at the first place where value breaks schema;
+    `$ref`s resolve into root["$defs"]."""
+    if isinstance(schema, bool):
+        if not schema:
+            raise SchemaError(path, "no value is allowed here")
+        return
+    obj, arr = isinstance(value, dict), isinstance(value, list)
+    for key, rule in schema.items():
+        bad = None
+        if key == "$ref":
+            _check(value, root["$defs"][rule.removeprefix("#/$defs/")], root, path)
+        elif key == "type":
+            if not any(_is_type(value, n) for n in _names(rule)):
+                bad = f"{value!r} is not of type {' or '.join(_names(rule))}"
+        elif key in ("enum", "const"):
+            options = rule if key == "enum" else [rule]
+            if value not in options:
+                bad = f"{value!r} is not one of {options!r}"
+        elif key == "required" and obj:
+            missing = [k for k in rule if k not in value]
+            if missing:
+                bad = f"required property {missing[0]!r} is missing"
+        elif key == "properties" and obj:
+            for k, sub in rule.items():
+                if k in value:
+                    _check(value[k], sub, root, f"{path}.{k}")
+        elif key == "additionalProperties" and obj:
+            named = schema.get("properties", {})
+            for k in value:
+                if k not in named:
+                    _check(value[k], rule, root, f"{path}.{k}")
+        elif key == "items" and arr:
+            for i, item in enumerate(value):
+                _check(item, rule, root, f"{path}[{i}]")
+        elif key == "minItems" and arr and len(value) < rule:
+            bad = f"array of length {len(value)} is shorter than {rule}"
+        elif key == "maxItems" and arr and len(value) > rule:
+            bad = f"array of length {len(value)} is longer than {rule}"
+        elif key == "minLength" and isinstance(value, str) and len(value) < rule:
+            bad = f"{value!r} is shorter than {rule}"
+        elif (key == "minimum" and isinstance(value, (int, float))
+              and not isinstance(value, bool) and value < rule):
+            bad = f"{value!r} is less than {rule}"
+        elif key == "allOf":
+            for sub in rule:
+                _check(value, sub, root, path)
+        elif key == "oneOf":
+            hits = sum(_passes(value, sub, root) for sub in rule)
+            if hits != 1:
+                bad = f"{value!r} matches {hits} of the oneOf schemas, not 1"
+        elif key == "if" and _passes(value, rule, root):
+            _check(value, schema.get("then", True), root, path)
+        if bad:
+            raise SchemaError(path, bad)
+
 
 @lru_cache(maxsize=1)
 def _schema() -> dict:
     path = resources.files("spin7") / "schema.json"
-    return json.loads(path.read_text(encoding="utf-8"))
+    schema = json.loads(path.read_text(encoding="utf-8"))
+    _check_keywords(schema)
+    return schema
 
 
 def _validate(envelope: dict) -> None:
-    import jsonschema  # imported here: markdown output never needs it
-    jsonschema.validate(envelope, _schema())
+    schema = _schema()
+    _check(envelope, schema, schema)
+
+
+# ---------------------------------------------------------------------------
+# rendering
 
 
 def _combo(row: dict[str, str]) -> str:

@@ -296,15 +296,19 @@ def _s2_operator(x: linalg.Row, h: list[MultiVector]) -> CurvatureTensor:
 
 def _s2_kernel(h: list[MultiVector],
                test: Callable[[CurvatureTensor], linalg.Row]) -> list[CurvatureTensor]:
-    """Basis of the operators of S^2(h) that the linear map test, from an
-    operator to a zero-free row, sends to zero."""
+    """The operators of S^2(h) that the linear map test, from an operator
+    to a zero-free row, sends to zero: a basis when the members of h are
+    independent, and only a spanning set otherwise, since dependent
+    members make the keys dependent."""
     keys = [(a, b) for a in range(len(h)) for b in range(a, len(h))]
     images = {key: test(_s2_operator({key: ONE}, h)) for key in keys}
     return [_s2_operator(x, h) for x in linalg.kernel(images, keys)]
 
 
 def bianchi_space(h: list[MultiVector]) -> list[CurvatureTensor]:
-    """Basis of the operators into span(h) killed by the cyclic sum.
+    """The operators into span(h) killed by the cyclic sum: a basis when
+    the members of h are independent (every catalog algebra), a spanning
+    set, possibly with zero members, otherwise.
 
     The first Bianchi identity forces pair symmetry, so the symmetric
     operators of S^2(h) already carry the whole space.
@@ -323,10 +327,12 @@ def invariant_ricci_family(h: list[MultiVector]) -> list[Ricci]:
     `CurvatureTensor.ricci` maps: an independent set spanning them all."""
     rotations = [rotation(w, 2) for w in h]
 
+    # r symmetric and rot skew make [r, rot] symmetric, so the entries
+    # (m, n) with m <= n carry every condition
     def commutators(r: CurvatureTensor) -> linalg.Row:
         return {(i, m, n): v for i, rot in enumerate(rotations)
                 for m, col in _commutator(r.columns, rot).items()
-                for n, v in col.items()}
+                for n, v in col.items() if m <= n}
 
     ech = linalg.Echelon()
     riccis = [r.ricci() for r in _s2_kernel(h, commutators)]

@@ -1,23 +1,29 @@
+import copy
 import json
 import subprocess
 import sys
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from spin7 import cli
+from spin7 import cli, verification
 from spin7.cli import dispatch
 from spin7.classify import admissible_pairs
 from spin7.verification import SuiteReport
 
+# jsonschema is the oracle for the package's own schema check
+SCHEMA = json.loads((resources.files("spin7") / "schema.json").read_text())
+VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
+
 
 def _env(result):
     env = json.loads(result.payload)
-    schema = json.loads(
-        (resources.files("spin7") / "schema.json").read_text())
-    jsonschema.validate(env, schema)
+    VALIDATOR.validate(env)
     return env
 
 
@@ -161,16 +167,17 @@ def test_a_well_formed_zero_denominator_still_ends_in_a_traceback():
         assert "ZeroDivisionError" in proc.stderr
 
 
-def test_verify_all_envelope_and_exit_code(monkeypatch):
-    def fake_run_all(seed):
-        good = SuiteReport("01-good")
-        good.add("works", True)
-        bad = SuiteReport("02-bad")
-        bad.add("breaks", False, "expected 1, got 2")
-        bad.note("a note")
-        return [good, bad]
+def fake_run_all(seed):
+    good = SuiteReport("01-good")
+    good.add("works", True)
+    bad = SuiteReport("02-bad")
+    bad.add("breaks", False, "expected 1, got 2")
+    bad.note("a note")
+    return [good, bad]
 
-    monkeypatch.setattr(cli, "run_all", fake_run_all)
+
+def test_verify_all_envelope_and_exit_code(monkeypatch):
+    monkeypatch.setattr(verification, "run_all", fake_run_all)
     r = dispatch(["verify-all", "--seed", "5"])
     assert r.exit_code == 1
     env = _env(r)
@@ -205,17 +212,200 @@ def test_module_entry_point_usage_error():
 
 
 def test_cli_import_leaves_sympy_unloaded():
-    code = ("import sys, spin7.cli; "
-            "print('sympy' in sys.modules, 'jsonschema' in sys.modules)")
+    heavy = "{'sympy', 'jsonschema', 'spin7.classify', 'spin7.verification'}"
+    code = f"import sys, spin7.cli; print(sorted({heavy} & set(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False False"
+    assert proc.stdout.strip() == "[]"
+    # a JSON query checks its envelope without loading jsonschema
+    code = ("import sys, spin7.cli; code = spin7.cli.main(['iso', '--form', 'e_12']); "
+            "print(code, 'jsonschema' in sys.modules, file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.stderr.strip() == "0 False"
+    assert json.loads(proc.stdout)["command"] == "iso"
 
 
 def test_json_output_is_still_validated(monkeypatch):
     monkeypatch.setattr(cli, "_schema", lambda: {"type": "string"})
-    with pytest.raises(jsonschema.ValidationError):
+    with pytest.raises(cli.SchemaError) as exc:
         dispatch(["iso", "--form", "e_12"])
+    assert exc.value.path == "$"
     md = dispatch(["iso", "--form", "e_12", "--format", "markdown"])
     assert md.exit_code == 0
+
+
+# ---------------------------------------------------------------------------
+# the package's schema check against jsonschema
+
+def _accepts(env) -> bool:
+    try:
+        cli._validate(env)
+    except cli.SchemaError:
+        return False
+    return True
+
+
+@lru_cache(maxsize=1)
+def _base_envelopes() -> tuple:
+    """Real envelopes: the README examples as JSON, verify-all --seed 0,
+    the admissibility table and one more per command, failures included."""
+    argvs = [[a for a in example["argv"] if a not in ("--format", "markdown")]
+             for _, example in sorted(README_EXAMPLES.items())]
+    argvs += [["verify-all", "--seed", "0"], ["table", "admissibility"],
+              ["ricci", "--family", "5.1", "--set", "a1=1,b1=0,b2=0", "--hol", "su3"],
+              ["reconstruct", "--example", "1"], ["invariants", "--algebra", "t2", "--space", "forms3"],
+              ["regen-golden", "--out", "golden-copy"]]
+    envs = []
+    for argv in argvs:
+        if argv[0] == "regen-golden":  # the envelope without writing files
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(verification, "write_golden", lambda out: ["families.json"])
+                envs.append(json.loads(dispatch(argv).payload))
+        else:
+            envs.append(json.loads(dispatch(argv).payload))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verification, "run_all", fake_run_all)
+        envs.append(json.loads(dispatch(["verify-all", "--seed", "5"]).payload))
+    return tuple(envs)
+
+
+def test_the_shipped_schema_is_a_2020_12_schema():
+    jsonschema.Draft202012Validator.check_schema(SCHEMA)
+
+
+def test_every_base_envelope_passes_both_checks():
+    envs = _base_envelopes()
+    assert {env["command"] for env in envs} == set(cli._HANDLERS)
+    assert any("diff" in env for env in envs)
+    for env in envs:
+        assert VALIDATOR.is_valid(env) and _accepts(env)
+
+
+def _nodes(value, path=()):
+    yield path, value
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _nodes(item, path + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _nodes(item, path + (i,))
+
+
+def _replace(env, path, value):
+    if not path:
+        return value
+    parent = env
+    for step in path[:-1]:
+        parent = parent[step]
+    parent[path[-1]] = value
+    return env
+
+
+# a value of every JSON type: bools next to integers, an integer-valued
+# float, the other command names, a diag8 and a diff item
+SWAPS = [None, True, False, 0, 1, -1, 2.0, 0.5, "", "1", "e_12", "iso",
+         "verify-all", "table", "regen-golden", [], ["1"] * 8, ["1"] * 7,
+         {}, {"where": "x", "expected": 1, "actual": 2}]
+ADDED_KEYS = ["extra", "diff", "seed", "solver", "detail", "command"]
+
+
+def _mutate(env, data):
+    path, node = data.draw(st.sampled_from(list(_nodes(env))))
+    kinds = ["swap"]
+    if isinstance(node, dict):
+        kinds += ["add"] + (["drop"] if node else [])
+    if isinstance(node, list):
+        kinds += ["lengthen"] + (["shorten"] if node else [])
+    if isinstance(node, str):
+        kinds.append("empty")
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "swap":
+        return _replace(env, path, copy.deepcopy(data.draw(st.sampled_from(SWAPS))))
+    if kind == "add":
+        node[data.draw(st.sampled_from(ADDED_KEYS))] = copy.deepcopy(
+            data.draw(st.sampled_from(SWAPS)))
+    elif kind == "drop":
+        del node[data.draw(st.sampled_from(sorted(node)))]
+    elif kind == "lengthen":
+        node.append(copy.deepcopy(node[-1] if node else data.draw(st.sampled_from(SWAPS))))
+    elif kind == "shorten":
+        del node[data.draw(st.integers(0, len(node) - 1))]
+    else:
+        return _replace(env, path, "")
+    return env
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.data())
+def test_schema_check_agrees_with_jsonschema_on_mutated_envelopes(data):
+    env = copy.deepcopy(data.draw(st.sampled_from(_base_envelopes())))
+    for _ in range(data.draw(st.integers(1, 3))):
+        env = _mutate(env, data)
+    assert _accepts(env) == VALIDATOR.is_valid(env)
+
+
+RICCI = ["ricci", "--family", "5.1", "--set", "a1=1,b1=0,b2=0", "--hol", "r+su2c"]
+
+
+@pytest.mark.parametrize("path, value, where", [
+    (("payload", "solver"), None, None),
+    (("payload", "solver"), ["2"] * 8, None),
+    (("payload", "solver"), ["2"] * 7, "$.payload.solver"),
+    (("payload", "solver"), [], "$.payload.solver"),
+    (("payload", "closed_form"), ["2"] * 9, "$.payload.closed_form"),
+    (("payload", "closed_form", 3), "", "$.payload.closed_form[3]"),
+    (("payload", "consistent"), 1, "$.payload.consistent"),
+    (("seed",), True, "$.seed"),
+    (("seed",), 4.0, None),
+    (("seed",), 4.5, "$.seed"),
+    (("payload", "extra"), "x", "$.payload.extra"),
+    (("diff",), [{"where": "x", "expected": 1}], "$.diff[0]"),
+])
+def test_schema_check_names_the_path_it_rejects(path, value, where):
+    env = _replace(json.loads(dispatch(RICCI).payload), path, value)
+    assert VALIDATOR.is_valid(env) == (where is None)
+    if where is None:
+        cli._validate(env)
+    else:
+        with pytest.raises(cli.SchemaError) as exc:
+            cli._validate(env)
+        assert exc.value.path == where
+
+
+def test_schema_check_agrees_with_jsonschema_where_one_of_branches_overlap():
+    # the shipped oneOf branches exclude each other; these do not
+    schema = {"oneOf": [{"type": "integer"}, {"minimum": 0}],
+              "if": {"type": "string"}, "then": {"minLength": 2}}
+    verdicts = set()
+    for value in (3, -1, 0.5, 2.0, True, None, "", "x", "xy", [], {}):
+        ours = cli._passes(value, schema, schema)
+        assert ours == jsonschema.Draft202012Validator(schema).is_valid(value)
+        verdicts.add(ours)
+    assert verdicts == {True, False}
+
+
+def test_schema_check_refuses_keywords_it_does_not_read(monkeypatch, tmp_path):
+    for path, keyword in [(("$defs", "formString"), {"maxLength": 40}),
+                          (("properties", "ok"), {"const": True}),
+                          (("$defs", "regenGolden", "properties", "out"), {"pattern": "^/"}),
+                          ((), {"else": {}}),
+                          (("properties", "seed"), {"type": "number"}),
+                          (("properties", "payload"), {"$ref": "other.json"})]:
+        schema = copy.deepcopy(SCHEMA)
+        node = schema
+        for step in path:
+            node = node[step]
+        node.update(keyword)
+        with pytest.raises(ValueError, match="not supported"):
+            cli._check_keywords(schema)
+        # and through the packaged loader, so a dispatch cannot pass unchecked
+        (tmp_path / "schema.json").write_text(json.dumps(schema))
+        monkeypatch.setattr(cli, "resources", SimpleNamespace(files=lambda _: tmp_path))
+        cli._schema.cache_clear()
+        try:
+            with pytest.raises(ValueError, match="not supported"):
+                dispatch(["iso", "--form", "e_12"])
+        finally:
+            cli._schema.cache_clear()

@@ -1,5 +1,5 @@
-"""Deterministic work counts on one curvature case, the Bianchi dimensions
-and one rebuilt Lie algebra.
+"""Deterministic work counts on one curvature case, the Bianchi dimensions,
+the rows of the invariant Ricci family and one rebuilt Lie algebra.
 
 Call counts, unlike timers, are free of noise, so a change that brings
 back redundant work fails here.  Each counted function is wrapped in
@@ -9,11 +9,13 @@ name into another module is counted too.
 
 import sys
 
-from spin7 import curvature, exterior
+import pytest
+
+from spin7 import curvature, exterior, linalg
 from spin7.classify import ReconstructedAlgebra, reconstruct_lie_algebra
 from spin7.curvature import (CurvatureTensor, bianchi_dim, build_rc, case_family,
-                             cyclic_residue)
-from spin7.liealg import CATALOG_NAMES
+                             cyclic_residue, invariant_ricci_family)
+from spin7.liealg import CATALOG_NAMES, algebra
 from spin7.scalars import SQRT3, rational
 from spin7.structure import FAMILIES
 
@@ -71,6 +73,22 @@ def test_bianchi_dim_solves_each_name_once_per_process(monkeypatch):
         for name in CATALOG_NAMES:
             bianchi_dim(name)
     assert len(calls) == len(CATALOG_NAMES)
+
+
+@pytest.mark.parametrize("name, rows", [("su2", 54), ("su3", 912)])
+def test_invariant_ricci_family_eliminates_one_triangle_of_commutators(
+        monkeypatch, name, rows):
+    # [r, rot] is symmetric, so only its entries (m, n) with m <= n are
+    # rows; with both triangles su2 has 96 rows and su3 1,728
+    kernel, seen = linalg.kernel, []
+
+    def counted(columns, keys):
+        seen.append(len(linalg.transpose(columns)))
+        return kernel(columns, keys)
+
+    monkeypatch.setattr(linalg, "kernel", counted)
+    invariant_ricci_family(algebra(name))
+    assert seen == [rows]
 
 
 def test_killing_form_reads_the_stored_brackets(monkeypatch):
