@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import linalg
-from .curvature import (CurvatureTensor, bianchi_dim, build_rc,
+from .curvature import (CASES, CurvatureTensor, bianchi_dim, build_rc,
                         case_weights, invariant_ricci_family)
 from .exterior import (DIM, E, MultiVector, contract, evaluate, form,
                        inner, wedge)
@@ -616,6 +616,34 @@ def reconstruct_lie_algebra(t: MultiVector, r: Optional[CurvatureTensor],
     jacobi_ok = not any(jacobiator(i, j, k) for i in range(n)
                         for j in range(i + 1, n) for k in range(j + 1, n))
     return ReconstructedAlgebra(labels, ad, jacobi_ok)
+
+
+class ReconstructionExample(NamedTuple):
+    """A worked reconstruction: a torsion family at fixed parameters, the
+    curvature case whose operator and holonomy enter (none when flat), the
+    coordinate directions kept, and whether the Killing form of the
+    rebuilt algebra is non-degenerate."""
+    family: str
+    params: dict
+    killing: bool
+    case: Optional[str] = None
+    dims: Sequence[int] = range(1, DIM + 1)
+
+    def run(self) -> tuple[MultiVector, ReconstructedAlgebra]:
+        t = FAMILIES[self.family].torsion(self.params)
+        r, h = ((None, []) if self.case is None else
+                (build_rc(self.case, self.params), algebra(CASES[self.case].holonomy)))
+        return t, reconstruct_lie_algebra(t, r, h, self.dims)
+
+
+# keyed by the choices of `spin7 reconstruct --example`
+RECONSTRUCTION_EXAMPLES = {
+    "1": ReconstructionExample("5.1", {"a1": 1, "b1": -1, "b2": 0}, killing=False),
+    "2": ReconstructionExample("5.1", {"a1": rational(4, 7), "b1": rational(3, 7), "b2": SQRT3},
+                               killing=True),
+    "t2": ReconstructionExample("5.2-I", {"a1": 1}, killing=True, case="5.2.2",
+                                dims=range(1, 8)),
+}
 
 
 # ---------------------------------------------------------------------------

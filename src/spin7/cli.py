@@ -21,11 +21,11 @@ from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
-from .curvature import CASE_HOLONOMY, build_rc, case_family, cyclic_residue
+from .curvature import CASES, build_rc, case_family, cyclic_residue
 from .exterior import form, format_form, format_terms
 from .liealg import (algebra, algebra_by_label, invariant_forms,
                      invariant_spinors, iso_algebra)
-from .scalars import SQRT3, ParseError, Scalar, rational
+from .scalars import ParseError, Scalar
 from .structure import FAMILIES, diagonal, is_diagonal, ricci_solver
 
 
@@ -156,19 +156,20 @@ def _cmd_ricci(ns) -> tuple:
 
 
 def _cmd_curvature(ns) -> tuple:
-    case = _match_key(ns.case, list(CASE_HOLONOMY), "case")
+    case = _match_key(ns.case, list(CASES), "case")
     params = _parse_set(ns.set)
     try:
         rc = build_rc(case, params)
         t = case_family(case, params).torsion(params)
     except (KeyError, ValueError) as exc:
         raise UsageError(f"case {case}: {exc}") from None
-    h = algebra(CASE_HOLONOMY[case])
+    holonomy = CASES[case].holonomy
+    h = algebra(holonomy)
     checks = {"symmetric": rc.is_symmetric(),
               "torsion_identity": cyclic_residue(rc, t),
               "values_in_holonomy": rc.range_inside(h),
               "invariant": rc.invariant_under(h)}
-    payload = {"case": case, "holonomy": CASE_HOLONOMY[case],
+    payload = {"case": case, "holonomy": holonomy,
                "params": {k: str(v) for k, v in sorted(params.items())},
                "ricci": [str(v) for v in diagonal(rc.ricci())],
                "checks": checks}
@@ -187,23 +188,10 @@ def _structure_json(rec) -> dict:
 
 
 def _cmd_reconstruct(ns) -> tuple:
-    from .classify import reconstruct_lie_algebra
+    from .classify import RECONSTRUCTION_EXAMPLES
     which = ns.example
-    if which == "1":
-        t = FAMILIES["5.1"].torsion({"a1": 1, "b1": -1, "b2": 0})
-        rec = reconstruct_lie_algebra(t, None, [])
-        expect_killing = False
-    elif which == "2":
-        t = FAMILIES["5.1"].torsion(
-            {"a1": rational(4, 7), "b1": rational(3, 7), "b2": SQRT3})
-        rec = reconstruct_lie_algebra(t, None, [])
-        expect_killing = True
-    else:
-        t = FAMILIES["5.2-I"].torsion({"a1": 1})
-        rc = build_rc("5.2.2", {"a1": 1})
-        rec = reconstruct_lie_algebra(t, rc, algebra("t2"),
-                                      dims=range(1, 8))
-        expect_killing = True
+    example = RECONSTRUCTION_EXAMPLES[which]
+    t, rec = example.run()
     killing = rec.killing_nondegenerate()
     payload = {"example": which, "torsion": format_form(t),
                "dim": rec.dim, "labels": list(rec.labels),
@@ -214,9 +202,9 @@ def _cmd_reconstruct(ns) -> tuple:
     if not rec.jacobi_ok:
         diff.append({"where": f"example {which} jacobi",
                      "expected": True, "actual": False})
-    if killing != expect_killing:
+    if killing != example.killing:
         diff.append({"where": f"example {which} killing form",
-                     "expected": expect_killing, "actual": killing})
+                     "expected": example.killing, "actual": killing})
     return not diff, payload, diff, None
 
 

@@ -3,16 +3,20 @@
 A curvature operator here is a linear map on 2-forms, stored as the
 images of the 28 coordinate 2-forms (`linalg` column form, keyed by the
 index pairs (i, j) of `MultiVector.terms`), so an entry
-R(e_i, e_j, e_k, e_l) is a lookup.  The closed-form operators are written
-as sums of dyads coeff * left * <right, .> and expanded into columns once.
-The module provides the cyclic sum of the first Bianchi identity, read
-from the nonzero entries, with its torsion-corrected form; the
-closed-form curvature operators attached to the torsion families; Ricci
-contraction; and two spaces of symmetric operators into a subalgebra h.
-Each space is a kernel over S^2(h) of a test that also checks single
-operators: Bianchi space members kill the cyclic sum, and the
-h-invariant operators, whose Ricci tensors form a family, kill the
+R(e_i, e_j, e_k, e_l) is a lookup.  The module provides the cyclic sum of
+the first Bianchi identity, read from the nonzero entries, with its
+torsion-corrected form; Ricci contraction; the closed-form operators of
+the classification; and two spaces of symmetric operators into a
+subalgebra h.  Each space is a kernel over S^2(h) of a test that also
+checks single operators: Bianchi space members kill the cyclic sum, and
+the h-invariant operators, whose Ricci tensors form a family, kill the
 commutators with the rotations from h.
+
+The closed-form operators are one table, `CASES`, with a record per
+subcase.  Its operator is a sum of weight blocks: fixed dyads
+coeff * left * <right, .>, scaled by a weight c_lam * lam + c_kap * kap
+that is linear in the Ricci diagonal (lam, kap) of the case's family,
+hence quadratic in the family parameters.
 
 The plain first Bianchi identity fails for a connection with parallel
 skew torsion; its cyclic sum equals the associated 4-form instead.  That
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterable, NamedTuple
 
 from . import linalg
 from .exterior import DIM, Index, MultiVector, merge_sign, monomials, sigma_t
@@ -45,7 +49,7 @@ class CurvatureTensor:
         self.columns = {m: col for m, col in columns.items() if col}
 
     @classmethod
-    def from_dyads(cls, pieces: list[Dyad]) -> CurvatureTensor:
+    def from_dyads(cls, pieces: Iterable[Dyad]) -> CurvatureTensor:
         """The operator sum c * left * <right, .> over the dyads."""
         columns: dict[Index, linalg.Row] = defaultdict(dict)
         for c, left, right in pieces:
@@ -155,123 +159,101 @@ def cyclic_residue(r: CurvatureTensor, t: MultiVector | None = None) -> bool:
 # ---------------------------------------------------------------------------
 # the closed-form curvature operators of the classification
 
-def _two_torus() -> tuple[MultiVector, MultiVector]:
-    # the torus of the 14-dim algebra: e_12 - e_34 and e_12 + e_34 - 2 e_56
-    p = SPIN7_BASIS
-    return p[6], p[6] + 2 * p[7]
+class Block(NamedTuple):
+    """Dyads scaled by c_lam * lam + c_kap * kap, for the Ricci diagonal
+    (lam, ..., lam, kap, ...) of the case's torsion family."""
+    c_lam: Scalar
+    c_kap: Scalar
+    dyads: tuple[Dyad, ...]
 
 
-def case_operator(case: str, r1: ScalarLike, r2: ScalarLike) -> CurvatureTensor:
-    """The two-weight operator shape shared by the torus-valued cases.
-
-    Case "5.1.1" adds the centralizer pair of dyads to the torus pair;
-    case "5.3.1" keeps only the torus pair.
-    """
-    p = SPIN7_BASIS
-    ta, tb = _two_torus()
-    pieces = [dyad(r1, ta), dyad(r2, tb)]
-    if case == "5.1.1":
-        pieces += [dyad(r2, p[12]), dyad(r2, p[13])]
-    elif case not in ("5.3.1", "5.3.1-I", "5.3.1-II"):
-        raise KeyError(f"no two-weight operator for case {case!r}")
-    return CurvatureTensor.from_dyads(pieces)
+class Case(NamedTuple):
+    """A subcase: its torsion families (the second, if any, when a2 is
+    assigned), the largest holonomy it serves, so the operator commutes
+    with every admissible subalgebra, its blocks, and the parameters
+    that must vanish."""
+    families: tuple[str, ...]
+    holonomy: str
+    blocks: tuple[Block, ...]
+    zero: tuple[str, ...] = ()
 
 
-def vanishing_constraints(case: str, h: list[MultiVector]) -> tuple[bool, bool]:
-    """Which of the two case weights must vanish for values inside span(h).
+_P = SPIN7_BASIS
+# the torus of the 14-dim algebra: e_12 - e_34 and e_12 + e_34 - 2 e_56
+_TA, _TB = _P[6], _P[6] + 2 * _P[7]
+# the squares of the irreducible so(3) basis, whose members have
+# norm-sqrt(5/2) and sqrt(3/2) coefficients; the products stay inside
+# the scalar field
+_HALF15 = SQRT15 * rational(1, 2)
+_SO3IR = (dyad(rational(5, 2), _P[4]), dyad(-_HALF15, _P[4], _P[9]),
+          dyad(-_HALF15, _P[9], _P[4]), dyad(rational(3, 2), _P[9]),
+          dyad(rational(5, 2), _P[5]), dyad(_HALF15, _P[5], _P[8]),
+          dyad(_HALF15, _P[8], _P[5]), dyad(rational(3, 2), _P[8]),
+          dyad(1, _P[6] + 3 * _P[7]))
+_TORUS = (Block(rational(-1), rational(1, 4), (dyad(1, _TA),)),
+          Block(ZERO, rational(-1, 4), (dyad(1, _TB),)))
 
-    The two weight blocks have independent ranges, so each weight is
-    tested on its own.
-    """
-    keep_r1 = case_operator(case, 1, 0).range_inside(h)
-    keep_r2 = case_operator(case, 0, 1).range_inside(h)
-    return (not keep_r1, not keep_r2)
-
-
-_CASE_FAMILY = {"5.1.1": "5.1", "5.1.2": "5.1", "5.2.1": "5.2", "5.2.2": "5.2",
-                "5.3.1-I": "5.3-I", "5.3.1-II": "5.3-II"}
+CASES = {
+    "5.1.1": Case(("5.1",), "r+su2c", (
+        Block(rational(-1), rational(3, 8), (dyad(1, _TA),)),
+        Block(ZERO, rational(-1, 8), (dyad(1, _TB), dyad(1, _P[12]), dyad(1, _P[13]))))),
+    # at b1 = b2 = 0 the weight is -a1^2
+    "5.1.2": Case(("5.1",), "so3ir", (Block(rational(-1, 12), ZERO, _SO3IR),),
+                  zero=("b1", "b2")),
+    "5.2.1": Case(("5.2-I", "5.2-II"), "so3", (Block(rational(-1, 2), ZERO, (
+        dyad(rational(1, 2), _P[0] + _P[4]), dyad(rational(1, 2), _P[1] + _P[5]),
+        dyad(1, _P[6] + _P[7]))),)),
+    "5.2.2": Case(("5.2-I", "5.2-II"), "t2",
+                  (Block(rational(-1, 4), ZERO, (dyad(3, _TA), dyad(1, _TB))),)),
+    "5.3.1-I": Case(("5.3-I",), "t2", _TORUS),
+    "5.3.1-II": Case(("5.3-II",), "t2", _TORUS),
+}
 
 
 def case_family(case: str, assignment: Params) -> TorsionFamily:
-    """The torsion family of a case; the 5.2 cases take family 5.2-II
-    when the assignment sets a2 and 5.2-I otherwise."""
-    if case not in _CASE_FAMILY:
-        raise KeyError(f"unknown curvature case {case!r}")
-    fam_id = _CASE_FAMILY[case]
-    if fam_id == "5.2":
-        fam_id = "5.2-II" if "a2" in assignment else "5.2-I"
-    return FAMILIES[fam_id]
+    """The torsion family of a case: its second family when it has one
+    and the assignment sets a2, its first otherwise."""
+    families = CASES[case].families
+    return FAMILIES[families[-1] if "a2" in assignment else families[0]]
 
 
 def case_weights(case: str, diag: list) -> tuple:
-    """The weights (r1, r2) of a two-weight case from the Ricci diagonal
-    of its family (lambda first, kappa fifth); the entries may be
-    Scalars or anything else that adds and multiplies with them."""
-    c1, c2 = ((rational(3, 8), rational(-1, 8)) if case == "5.1.1"
-              else (rational(1, 4), rational(-1, 4)))
+    """One weight per block of a case, from the Ricci diagonal of its
+    family (lambda first, kappa fifth); the entries may be Scalars or
+    anything else that adds and multiplies with them."""
     lam, kap = diag[0], diag[4]
-    return c1 * kap - lam, c2 * kap
+    return tuple(b.c_lam * lam + b.c_kap * kap for b in CASES[case].blocks)
 
 
 def build_rc(case: str, assignment: Params) -> CurvatureTensor:
-    """Closed-form curvature operator for a classification subcase.
+    """Closed-form curvature operator for a classification subcase: the sum
+    over its blocks of weight * dyads.
 
-    Cases: "5.1.1" (values in the rank-2 centralizer chain), "5.1.2"
-    (irreducible so(3)), "5.2.1" (standard so(3)), "5.2.2" (torus),
-    "5.3.1-I" and "5.3.1-II" (torus, per torsion type).
+    Each weight is linear in (lam, kap) of the family's Ricci diagonal,
+    hence quadratic in the family parameters, and the dyads are fixed,
+    so the operator is a quadratic form in the parameters.  Cases:
+    "5.1.1" (values in the rank-2 centralizer chain), "5.1.2"
+    (irreducible so(3), only at b1 = b2 = 0), "5.2.1" (standard so(3)),
+    "5.2.2" (torus), "5.3.1-I" and "5.3.1-II" (torus, per torsion type).
     """
-    p = SPIN7_BASIS
-    ta, tb = _two_torus()
+    rec = CASES[case]
     fam = case_family(case, assignment)
-    if case in ("5.1.1", "5.3.1-I", "5.3.1-II"):
-        return case_operator(case, *case_weights(case, fam.ricci_diag(assignment)))
-    if case == "5.1.2":
-        vals = fam.values(assignment)
-        if not (vals["b1"].is_zero and vals["b2"].is_zero):
-            raise ValueError("the irreducible so(3) case needs b1 = b2 = 0")
-        w = -vals["a1"] * vals["a1"]
-        half = rational(1, 2)
-        mixed = SQRT15 * half
-        # the dyads expand squares of the irreducible so(3) basis, whose
-        # members have norm-sqrt(5/2) and sqrt(3/2) coefficients; the
-        # products stay inside the scalar field
-        return CurvatureTensor.from_dyads([
-            dyad(w * rational(5, 2), p[4]),
-            dyad(-w * mixed, p[4], p[9]),
-            dyad(-w * mixed, p[9], p[4]),
-            dyad(w * rational(3, 2), p[9]),
-            dyad(w * rational(5, 2), p[5]),
-            dyad(w * mixed, p[5], p[8]),
-            dyad(w * mixed, p[8], p[5]),
-            dyad(w * rational(3, 2), p[8]),
-            dyad(w, p[6] + 3 * p[7]),
-        ])
-    if case == "5.2.1":
-        lam = fam.ricci_diag(assignment)[0]
-        w = -lam * rational(1, 2)
-        return CurvatureTensor.from_dyads([
-            dyad(w * rational(1, 2), p[0] + p[4]),
-            dyad(w * rational(1, 2), p[1] + p[5]),
-            dyad(w, p[6] + p[7]),
-        ])
-    lam = fam.ricci_diag(assignment)[0]
-    w = -lam * rational(1, 4)
-    return CurvatureTensor.from_dyads([
-        dyad(3 * w, ta),
-        dyad(w, tb),
-    ])
+    vals = fam.values(assignment)
+    if not all(vals[name].is_zero for name in rec.zero):
+        raise ValueError(f"the operator needs {' = '.join(rec.zero)} = 0")
+    weights = case_weights(case, fam.closed_form(vals))
+    return CurvatureTensor.from_dyads([(w * c, left, right)
+                                       for w, block in zip(weights, rec.blocks)
+                                       for c, left, right in block.dyads])
 
 
-# the largest holonomy algebra each case serves; the operator is
-# invariant under it, hence under every admissible subalgebra
-CASE_HOLONOMY = {
-    "5.1.1": "r+su2c",
-    "5.1.2": "so3ir",
-    "5.2.1": "so3",
-    "5.2.2": "t2",
-    "5.3.1-I": "t2",
-    "5.3.1-II": "t2",
-}
+def vanishing_constraints(case: str, h: list[MultiVector]) -> tuple[bool, ...]:
+    """Whether each block's weight must vanish for values inside span(h).
+
+    The blocks have independent ranges, so each is tested on its own.
+    """
+    return tuple(not CurvatureTensor.from_dyads(b.dyads).range_inside(h)
+                 for b in CASES[case].blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -251,11 +251,14 @@ def algebra(name: str, k: ScalarLike = 1, l: ScalarLike = 0) -> list[MultiVector
 
 
 def algebra_by_label(label: str) -> tuple[str, list[MultiVector]]:
-    """`algebra` by name, or by "t1[k,l]" for the line of slope (k, l),
-    with the label written without blanks around the slope values."""
+    """`algebra` by name, or by "t1[k,l]" or "t1tilde[k,l]" for the line
+    of slope (k, l), with the label written without blanks around the
+    slope values.  A slope on any other name is a ValueError."""
     name, bracket, rest = label.partition("[")
     if not bracket:
         return name, algebra(name)
+    if name not in ("t1", "t1tilde"):
+        raise ValueError(f"only t1 and t1tilde take a slope, got {label!r}")
     inside, close, tail = rest.partition("]")
     if not close or tail:
         raise ValueError(f"a slope label ends in one ']', got {label!r}")

@@ -26,13 +26,13 @@ from typing import Callable
 from . import linalg
 from .clifford import (BASE_SPINOR, N_SPIN, act, basis_spinor, gamma_apply,
                        spinor_add, spinor_scale, spinor_sub)
-from .curvature import (CASE_HOLONOMY, bianchi_dim, build_rc,
-                        cyclic_residue, vanishing_constraints)
+from .curvature import (CASES, bianchi_dim, build_rc, cyclic_residue,
+                        vanishing_constraints)
 from .exterior import (CAYLEY, DIM, E, VOL, MultiVector, contract, evaluate,
                        form, hodge, inner, monomials, wedge)
-from .classify import (admissible_pairs, flat_operator_locus,
-                       phi_from_hermitian, family_span_dims,
-                       reconstruct_lie_algebra, splitting_check,
+from .classify import (RECONSTRUCTION_EXAMPLES, admissible_pairs,
+                       flat_operator_locus, phi_from_hermitian,
+                       family_span_dims, splitting_check,
                        two_weight_vanishing_locus)
 from .liealg import (SPIN7_BASIS, act_on_form, algebra, algebra_by_label,
                      bracket, express, in_span, in_stabilizer,
@@ -435,7 +435,7 @@ def suite_curvature(rng: random.Random) -> SuiteReport:
     for case in sorted(data["cases"]):
         meta = data["cases"][case]
         h = algebra(meta["holonomy"])
-        if meta["holonomy"] != CASE_HOLONOMY[case]:
+        if meta["holonomy"] != CASES[case].holonomy:
             rep.add(f"case {case} golden holonomy matches the catalog", False)
             continue
         for pos, entry in enumerate(meta["samples"]):
@@ -463,7 +463,8 @@ def suite_curvature(rng: random.Random) -> SuiteReport:
         for label in sorted(table):
             _, h = algebra_by_label(label)
             want = tuple(table[label])
-            got = vanishing_constraints(case, h)
+            # the golden key "5.3.1" stands for the blocks both 5.3 cases share
+            got = vanishing_constraints("5.3.1-I" if case == "5.3.1" else case, h)
             rep.add(f"case {case} weight constraints under {label}",
                     got == want, f"computed {got}")
     for fam_id in ("5.3-I", "5.3-II"):
@@ -500,10 +501,10 @@ def suite_reconstruction(rng: random.Random) -> SuiteReport:
     rep = SuiteReport("12-reconstruction")
     p = SPIN7_BASIS
 
-    t1 = FAMILIES["5.1"].torsion({"a1": 1, "b1": -1, "b2": 0})
+    ex1 = RECONSTRUCTION_EXAMPLES["1"]
+    t1, rec1 = ex1.run()
     rep.add("flat two-block sample torsion is 7 times a single monomial",
             t1 == form("7*e_567"))
-    rec1 = reconstruct_lie_algebra(t1, None, [])
     rep.add("flat two-block sample rebuilds an 8-dim algebra with exact "
             "Jacobi", rec1.dim == 8 and rec1.jacobi_ok)
     su2_block = {(4, 5): {6: Scalar(-7)}, (4, 6): {5: Scalar(7)},
@@ -511,24 +512,23 @@ def suite_reconstruction(rng: random.Random) -> SuiteReport:
     rep.add("its bracket is a three-letter block with constants of size 7",
             rec1.structure == su2_block)
     rep.add("its Killing form is degenerate (five flat directions)",
-            not rec1.killing_nondegenerate())
+            rec1.killing_nondegenerate() == ex1.killing)
 
     z3 = form("e_12 - e_34")
     d_sum = form("e_246 - e_145 - e_235 - e_136")
     reference = wedge(form("e_12 + e_34 - 2*e_56"), E[7]) + d_sum
+    ex2 = RECONSTRUCTION_EXAMPLES["2"]
     for sign, b2 in (("plus", SQRT3), ("minus", -1 * SQRT3)):
-        t2 = FAMILIES["5.1"].torsion(
-            {"a1": rational(4, 7), "b1": rational(3, 7), "b2": b2})
+        ex = ex2._replace(params={**ex2.params, "b2": b2})
+        t2, rec2 = ex.run()
         rep.add(f"centralizer {sign} sample equals its reference 3-form",
                 t2 == reference + wedge(z3, E[8]) * b2)
         rep.add(f"centralizer {sign} sample sits on the flat locus",
-                all(v.is_zero for v in FAMILIES["5.1"].ricci_diag(
-                    {"a1": rational(4, 7), "b1": rational(3, 7), "b2": b2})))
-        rec2 = reconstruct_lie_algebra(t2, None, [])
+                all(v.is_zero for v in FAMILIES[ex.family].ricci_diag(ex.params)))
         rep.add(f"centralizer {sign} sample rebuilds an 8-dim algebra with "
                 "exact Jacobi", rec2.dim == 8 and rec2.jacobi_ok)
         rep.add(f"centralizer {sign} sample has a non-degenerate Killing "
-                "form", rec2.killing_nondegenerate())
+                "form", rec2.killing_nondegenerate() == ex.killing)
         pairing_ok = True
         for i in range(8):
             for j in range(i + 1, 8):
@@ -560,16 +560,14 @@ def suite_reconstruction(rng: random.Random) -> SuiteReport:
         rep.add(f"centralizer {sign} negated frame map is a Lie "
                 "isomorphism onto the reference basis", homo_ok)
 
-    t3 = FAMILIES["5.2-I"].torsion({"a1": 1})
-    rc3 = build_rc("5.2.2", {"a1": 1})
-    h3 = algebra("t2")
-    rec3 = reconstruct_lie_algebra(t3, rc3, h3, dims=range(1, 8))
+    ex3 = RECONSTRUCTION_EXAMPLES["t2"]
+    _, rec3 = ex3.run()
     rep.add("torus case rebuilds a 9-dim algebra with exact Jacobi",
             rec3.dim == 9 and rec3.jacobi_ok)
     rep.add("torus case has a non-degenerate Killing form",
-            rec3.killing_nondegenerate())
+            rec3.killing_nondegenerate() == ex3.killing)
     try:
-        reconstruct_lie_algebra(t3, rc3, h3, dims=range(1, 7))
+        ex3._replace(dims=ex3.dims[:-1]).run()
         rep.add("dropping a needed direction is rejected", False)
     except ValueError:
         rep.add("dropping a needed direction is rejected", True)
@@ -727,7 +725,7 @@ def golden_payloads() -> dict[str, dict]:
     cases = {}
     for case, samples in _CASE_SAMPLES.items():
         cases[case] = {
-            "holonomy": CASE_HOLONOMY[case],
+            "holonomy": CASES[case].holonomy,
             "samples": [{"family": fam_id, "params": dict(raw),
                          "ricci": _ricci_strings(fam_id, raw)}
                         for fam_id, raw in samples],

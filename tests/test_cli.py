@@ -130,7 +130,8 @@ def test_usage_errors_exit_with_2(capsys):
     bad_form = dispatch(["iso", "--form", "e_1x"])
     assert bad_form.exit_code == 2
     assert "offset" in bad_form.diagnostics
-    for label in ("nope", "t1[1,0", "t1[1,0]]]", "t1[1,0]x", "t1[1]"):
+    for label in ("nope", "t1[1,0", "t1[1,0]]]", "t1[1,0]x", "t1[1]",
+                  "g2[0,0]", "su3[1,0]"):
         assert dispatch(["invariants", "--algebra", label,
                          "--space", "forms3"]).exit_code == 2
     for text in ("e_12 +", "e_12 + + e_34", "(1+)*e_12"):
@@ -160,7 +161,8 @@ def test_a_well_formed_zero_denominator_still_ends_in_a_traceback():
     # perfbench counts that defect (ops.KNOWN_DEFECT_KINDS); mending it
     # belongs with the benchmark change that empties that list.
     for argv in (["ricci", "--family", "5.1", "--set", "a1=3/0,b1=0,b2=0"],
-                 ["iso", "--form", "1/0*e_12"]):
+                 ["iso", "--form", "1/0*e_12"],
+                 ["invariants", "--algebra", "t1[1/0,1]", "--space", "forms3"]):
         proc = subprocess.run([sys.executable, "-m", "spin7.cli", *argv],
                               capture_output=True, text=True)
         assert proc.returncode == 1

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from spin7 import verification
-from spin7.curvature import (CASE_HOLONOMY, CurvatureTensor, bianchi_dim,
-                             bianchi_space, build_rc, case_operator,
+from spin7.curvature import (CASES, CurvatureTensor, bianchi_dim,
+                             bianchi_space, build_rc, case_weights,
                              cyclic_residue, dyad, vanishing_constraints)
 from spin7.exterior import form
 from spin7.liealg import CATALOG_NAMES, algebra
@@ -62,10 +62,21 @@ def test_operators_fail_plain_bianchi_but_pass_with_torsion():
 
 
 def test_case_operator_weights_appear_in_entries():
-    r = case_operator("5.1.1", rational(1, 2), Scalar(0))
-    assert not r.is_zero
-    r2 = case_operator("5.1.1", Scalar(0), Scalar(0))
-    assert r2.is_zero
+    blocks = CASES["5.1.1"].blocks
+
+    def weighted(*weights):
+        return CurvatureTensor.from_dyads([(w * c, left, right)
+                                           for w, block in zip(weights, blocks)
+                                           for c, left, right in block.dyads])
+
+    # the first block is the dyad of e_12 - e_34 with itself
+    half = weighted(rational(1, 2), Scalar(0))
+    assert half.entry(1, 2, 1, 2) == rational(1, 2)
+    assert half.entry(1, 2, 3, 4) == rational(-1, 2)
+    assert weighted(Scalar(0), Scalar(0)).is_zero
+    params = {"a1": 1, "b1": 2, "b2": 3}
+    weights = case_weights("5.1.1", FAMILIES["5.1"].ricci_diag(params))
+    assert build_rc("5.1.1", params).columns == weighted(*weights).columns
 
 
 def test_constraint_flags_depend_on_the_holonomy():
@@ -83,7 +94,8 @@ def test_build_rc_validates_input():
 
 
 def test_every_case_has_a_holonomy_label():
-    for case, name in CASE_HOLONOMY.items():
+    for case, record in CASES.items():
+        name = record.holonomy
         assert algebra(name)
         rc = build_rc(case, _witness(case))
         assert rc.range_inside(algebra(name))

@@ -14,7 +14,8 @@ int-renumbered unknowns, and the reconstructed Lie algebras against the
 upper-triangle bracket table read with sign flips.  The Bianchi spaces
 and invariant Ricci families, kernels over S^2(h), are checked for span
 against the rows over the unknowns (monomial, member of h) they were
-solved from, with and without the symmetry rows.
+solved from, with and without the symmetry rows.  The table of
+curvature cases is checked against the per-case branches it replaced.
 """
 
 import re
@@ -25,17 +26,19 @@ from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from spin7 import curvature, linalg, structure
+from spin7 import curvature, linalg, structure, verification
 from spin7.classify import reconstruct_lie_algebra
 from spin7.clifford import gamma_apply
-from spin7.curvature import (CASE_HOLONOMY, CurvatureTensor, build_rc,
-                             case_family, cyclic_residue, dyad)
+from spin7.curvature import (CASES, CurvatureTensor, build_rc, case_family,
+                             case_weights, cyclic_residue, dyad,
+                             vanishing_constraints)
 from spin7.exterior import (DIM, E, MultiVector, evaluate, form, inner,
                             monomials, sigma_t)
-from spin7.liealg import (CATALOG_NAMES, act_on_form, algebra, bracket,
-                          express, invariant_spinors, rotation)
-from spin7.scalars import (ONE, SQRT3, ZERO, ParseError, Scalar, add_to,
-                           rational)
+from spin7.liealg import (CATALOG_NAMES, SPIN7_BASIS, act_on_form, algebra,
+                          algebra_by_label, bracket, express,
+                          invariant_spinors, rotation)
+from spin7.scalars import (ONE, SQRT3, SQRT15, ZERO, ParseError, Scalar,
+                           add_to, rational)
 from spin7.verification import load_golden
 
 _VALUES = [Scalar(1), Scalar(2), rational(1, 2), SQRT3, 1 + SQRT3]
@@ -487,12 +490,120 @@ _GOLDEN_CASES = load_golden("curvature_cases.json")["cases"]
 
 
 @examples
-@given(st.sampled_from(sorted(CASE_HOLONOMY)), dyads)
+@given(st.sampled_from(sorted(CASES)), dyads)
 def test_operator_ricci_map_is_the_upper_half_of_the_dense_trace(case, raw):
     params = {k: Scalar.parse(v) for k, v in _GOLDEN_CASES[case]["samples"][0]["params"].items()}
     rc = build_rc(case, params)
     for r in (rc, _perturbed(rc, raw)):
         assert r.ricci() == upper_nonzero(dense_ricci(r))
+
+
+# ---------------------------------------------------------------------------
+# the curvature case table: the per-case branches it replaced
+
+def _ref_two_torus():
+    p = SPIN7_BASIS
+    return p[6], p[6] + 2 * p[7]
+
+
+def ref_case_operator(case, r1, r2):
+    p = SPIN7_BASIS
+    ta, tb = _ref_two_torus()
+    pieces = [dyad(r1, ta), dyad(r2, tb)]
+    if case == "5.1.1":
+        pieces += [dyad(r2, p[12]), dyad(r2, p[13])]
+    elif case not in ("5.3.1", "5.3.1-I", "5.3.1-II"):
+        raise KeyError(case)
+    return CurvatureTensor.from_dyads(pieces)
+
+
+def ref_vanishing_constraints(case, h):
+    return (not ref_case_operator(case, 1, 0).range_inside(h),
+            not ref_case_operator(case, 0, 1).range_inside(h))
+
+
+_REF_CASE_FAMILY = {"5.1.1": "5.1", "5.1.2": "5.1", "5.2.1": "5.2", "5.2.2": "5.2",
+                    "5.3.1-I": "5.3-I", "5.3.1-II": "5.3-II"}
+
+
+def ref_case_family(case, assignment):
+    fam_id = _REF_CASE_FAMILY[case]
+    if fam_id == "5.2":
+        fam_id = "5.2-II" if "a2" in assignment else "5.2-I"
+    return structure.FAMILIES[fam_id]
+
+
+def ref_case_weights(case, diag):
+    c1, c2 = ((rational(3, 8), rational(-1, 8)) if case == "5.1.1"
+              else (rational(1, 4), rational(-1, 4)))
+    lam, kap = diag[0], diag[4]
+    return c1 * kap - lam, c2 * kap
+
+
+def ref_build_rc(case, assignment):
+    p = SPIN7_BASIS
+    ta, tb = _ref_two_torus()
+    fam = ref_case_family(case, assignment)
+    if case in ("5.1.1", "5.3.1-I", "5.3.1-II"):
+        return ref_case_operator(case, *ref_case_weights(case, fam.ricci_diag(assignment)))
+    if case == "5.1.2":
+        vals = fam.values(assignment)
+        if not (vals["b1"].is_zero and vals["b2"].is_zero):
+            raise ValueError("the irreducible so(3) case needs b1 = b2 = 0")
+        w = -vals["a1"] * vals["a1"]
+        mixed = SQRT15 * rational(1, 2)
+        return CurvatureTensor.from_dyads([
+            dyad(w * rational(5, 2), p[4]), dyad(-w * mixed, p[4], p[9]),
+            dyad(-w * mixed, p[9], p[4]), dyad(w * rational(3, 2), p[9]),
+            dyad(w * rational(5, 2), p[5]), dyad(w * mixed, p[5], p[8]),
+            dyad(w * mixed, p[8], p[5]), dyad(w * rational(3, 2), p[8]),
+            dyad(w, p[6] + 3 * p[7])])
+    lam = fam.ricci_diag(assignment)[0]
+    if case == "5.2.1":
+        w = -lam * rational(1, 2)
+        return CurvatureTensor.from_dyads([
+            dyad(w * rational(1, 2), p[0] + p[4]), dyad(w * rational(1, 2), p[1] + p[5]),
+            dyad(w, p[6] + p[7])])
+    w = -lam * rational(1, 4)
+    return CurvatureTensor.from_dyads([dyad(3 * w, ta), dyad(w, tb)])
+
+
+_CASE_INPUTS = [("5.1.1", "5.1"), ("5.1.2", "5.1"), ("5.2.1", "5.2-I"), ("5.2.1", "5.2-II"),
+                ("5.2.2", "5.2-I"), ("5.2.2", "5.2-II"), ("5.3.1-I", "5.3-I"),
+                ("5.3.1-II", "5.3-II")]
+field_values = st.one_of(st.just(ZERO), coeffs)
+
+
+@st.composite
+def case_assignments(draw):
+    case, fam_id = draw(st.sampled_from(_CASE_INPUTS))
+    params = {name: draw(field_values) for name in structure.FAMILIES[fam_id].params}
+    if case == "5.1.2":
+        params.update(b1=ZERO, b2=ZERO)
+    return case, params
+
+
+@settings(deadline=None, max_examples=60)
+@given(case_assignments())
+def test_case_table_matches_the_per_case_branches(drawn):
+    case, params = drawn
+    assert case_family(case, params) is ref_case_family(case, params)
+    assert build_rc(case, params).columns == ref_build_rc(case, params).columns
+    if case in ("5.1.1", "5.3.1-I", "5.3.1-II"):
+        diag = case_family(case, params).ricci_diag(params)
+        assert case_weights(case, diag) == ref_case_weights(case, diag)
+
+
+def test_case_table_constraints_match_the_per_case_branches():
+    tables = verification._CONSTRAINT_TABLES
+    cases = {"5.1.1": ("5.1.1",), "5.3.1": ("5.3.1-I", "5.3.1-II")}
+    assert sorted(tables) == sorted(cases)
+    for key, table in tables.items():
+        for label in table:
+            h = algebra_by_label(label)[1]
+            for case in cases[key]:
+                assert vanishing_constraints(case, h) == ref_vanishing_constraints(key, h)
+    assert CASES["5.3.1-I"].blocks is CASES["5.3.1-II"].blocks
 
 
 # ---------------------------------------------------------------------------
