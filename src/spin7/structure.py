@@ -23,7 +23,7 @@ from .clifford import (BASE_SPINOR, N_SPIN, Spinor, act, basis_spinor,
                        gamma_apply, spinor_scale)
 from .exterior import (CAYLEY, DIM, E, MultiVector, contract, form, hodge,
                        inner, norm_sq, sigma_t, wedge)
-from .scalars import ZERO, Scalar, ScalarLike, add_to, rational
+from .scalars import ZERO, Scalar, ScalarLike, add_to, dot, rational
 
 Params = Mapping[str, ScalarLike]
 Ricci = dict[tuple[int, int], Scalar]  # {(i, j): Ric(e_i, e_j)} over i <= j, zero-free
@@ -163,36 +163,63 @@ def square_condition_holds(t: MultiVector, spinors: list[Spinor]) -> bool:
     return not any(linalg.apply(square, psi) for psi in spinors)
 
 
+@lru_cache(maxsize=None)
+def _spinor_frames(
+        h: tuple[MultiVector, ...]) -> tuple[tuple[Spinor, tuple[Spinor, ...], Scalar], ...]:
+    """Per h-invariant spinor psi: psi, its Clifford images e_1 psi, ...,
+    e_8 psi, and 1 / (-4 |psi|^2).  They depend on h alone."""
+    from .liealg import invariant_spinors
+    frames = []
+    for psi in invariant_spinors(list(h)):
+        images = tuple(gamma_apply(j, psi) for j in range(1, DIM + 1))
+        frames.append((psi, images, (-4 * dot(psi, psi)).inverse()))
+    return tuple(frames)
+
+
 def ricci_solver(t: MultiVector, h: list[MultiVector]) -> Optional[Ricci]:
     """Solve the torsion equations for the Ricci tensor of the torsion
     connection, given a candidate holonomy algebra h.
 
-    Every h-invariant spinor psi and every basis vector X contribute the
-    equation -4 Ric(X) psi = (t^2 - 7|t_8|^2) X psi, preceded by the
-    square condition on psi.  The unknowns are the entries Ric(e_i, e_j),
-    i <= j, keyed by (i, j).  Returns the zero-free map
-    {(i, j): Ric(e_i, e_j)}, or None when the system is inconsistent.
+    Every h-invariant spinor psi and every basis vector e_k contribute the
+    equation -4 Ric(e_k) psi = S e_k psi with S = t^2 - 7|t_8|^2,
+    preceded by the square condition S psi = 0.  The generators act by
+    skew signed permutations and pairwise anticommute, so the eight
+    spinors e_j psi are pairwise orthogonal with |e_j psi|^2 = |psi|^2.
+    The equation for e_k therefore forces
+    Ric(e_k, e_j) = <S e_k psi, e_j psi> / (-4 |psi|^2): one invariant
+    spinor fixes every unknown.  The entries i <= j are read off the
+    first invariant spinor, and the system is consistent exactly when the
+    residual S e_k psi + 4 sum_j Ric(e_k, e_j) e_j psi vanishes for every
+    invariant spinor psi and every k.  Returns the zero-free map
+    {(i, j): Ric(e_i, e_j)} over i <= j in ascending order, or None when
+    the system is inconsistent.
     """
-    from .liealg import invariant_spinors
-    spinors = invariant_spinors(h)
+    frames = _spinor_frames(tuple(h))
     square = _square_map(t, _shift(t))
-    if any(linalg.apply(square, psi) for psi in spinors):
+    if any(linalg.apply(square, psi) for psi, _, _ in frames):
         return None
+    if not frames:
+        return {}
 
-    rows: list[linalg.Row] = []
-    rhs: list[Scalar] = []
-    for psi in spinors:
-        gammas = [gamma_apply(j, psi) for j in range(1, DIM + 1)]
+    _, first, scale = frames[0]
+    ric: Ricci = {}
+    for k in range(1, DIM + 1):
+        target = linalg.apply(square, first[k - 1])
+        for j in range(k, DIM + 1):
+            value = dot(target, first[j - 1]) * scale
+            if not value.is_zero:
+                ric[(k, j)] = value
+    for _, images, _ in frames:
         for k in range(1, DIM + 1):
-            target = linalg.apply(square, gammas[k - 1])
-            slots = set(target)
+            residual = linalg.apply(square, images[k - 1])
             for j in range(1, DIM + 1):
-                slots.update(gammas[j - 1])
-            for s in sorted(slots):
-                rows.append({(min(j, k), max(j, k)): Scalar(-4) * g[s]
-                             for j, g in enumerate(gammas, 1) if s in g})
-                rhs.append(target.get(s, ZERO))
-    return linalg.solve(rows, rhs)
+                value = ric.get((min(j, k), max(j, k)))
+                if value is not None:
+                    for s, v in images[j - 1].items():
+                        add_to(residual, s, 4 * value * v)
+            if residual:
+                return None
+    return ric
 
 
 def diagonal(ric: Ricci) -> list[Scalar]:

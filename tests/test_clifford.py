@@ -1,7 +1,10 @@
+import random
+
 from spin7.clifford import (BASE_SPINOR, N_SPIN, act, basis_spinor,
                             gamma_apply, spinor_add, spinor_scale, spinor_sub)
 from spin7.exterior import CAYLEY, DIM, form
-from spin7.scalars import Scalar, dot, rational
+from spin7.liealg import CATALOG_NAMES, algebra, invariant_spinors
+from spin7.scalars import SQRT3, ZERO, Scalar, dot, rational
 
 
 def test_generators_square_to_minus_one():
@@ -26,6 +29,24 @@ def test_basis_spinors_are_orthonormal():
         for b in range(N_SPIN):
             want = Scalar(1 if a == b else 0)
             assert dot(basis_spinor(a), basis_spinor(b)) == want
+
+
+_COEFFS = [Scalar(1), Scalar(-3), rational(2, 5), SQRT3, 1 - SQRT3]
+
+
+def test_clifford_images_of_a_spinor_are_orthogonal():
+    # the premise of the Ricci read-off in `structure.ricci_solver`: the
+    # e_i psi are pairwise orthogonal, each of norm squared |psi|^2
+    rng = random.Random(5)
+    spinors = [psi for name in CATALOG_NAMES for psi in invariant_spinors(algebra(name))]
+    spinors += [{k: rng.choice(_COEFFS) for k in rng.sample(range(N_SPIN), rng.randint(1, 5))}
+                for _ in range(60)]
+    for psi in spinors:
+        images = [gamma_apply(i, psi) for i in range(1, DIM + 1)]
+        norm = dot(psi, psi)
+        for i, x in enumerate(images):
+            for j, y in enumerate(images):
+                assert dot(x, y) == (norm if i == j else ZERO), (psi, i + 1, j + 1)
 
 
 def test_form_action_composes_generator_actions():

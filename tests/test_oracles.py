@@ -10,12 +10,13 @@ parsers of scalar and form strings are kept the same way, and so is the
 renumbering of the monomials of a grade as 0..C(8, k)-1 that the linear
 algebra once ran on.  The Ricci tensors are checked against the dense
 symmetric 8x8 matrices they were, the spinor solve against its run over
-int-renumbered unknowns, and the reconstructed Lie algebras against the
-upper-triangle bracket table read with sign flips.  The Bianchi spaces
-and invariant Ricci families, kernels over S^2(h), are checked for span
-against the rows over the unknowns (monomial, member of h) they were
-solved from, with and without the symmetry rows.  The table of
-curvature cases is checked against the per-case branches it replaced.
+int-renumbered unknowns and against the row elimination that the
+read-off from one invariant spinor replaced, and the reconstructed Lie
+algebras against the upper-triangle bracket table read with sign flips.
+The Bianchi spaces and invariant Ricci families, kernels over S^2(h), are
+checked for span against the rows over the unknowns (monomial, member of
+h) they were solved from, with and without the symmetry rows.  The table
+of curvature cases is checked against the per-case branches it replaced.
 """
 
 import re
@@ -37,8 +38,8 @@ from spin7.exterior import (DIM, E, MultiVector, evaluate, form, inner,
 from spin7.liealg import (CATALOG_NAMES, SPIN7_BASIS, act_on_form, algebra,
                           algebra_by_label, bracket, express,
                           invariant_spinors, rotation)
-from spin7.scalars import (ONE, SQRT3, SQRT15, ZERO, ParseError, Scalar,
-                           add_to, rational)
+from spin7.scalars import (ONE, SQRT3, SQRT5, SQRT15, ZERO, ParseError, Scalar,
+                           add_to, dot, rational)
 from spin7.verification import load_golden
 
 _VALUES = [Scalar(1), Scalar(2), rational(1, 2), SQRT3, 1 + SQRT3]
@@ -441,6 +442,30 @@ def dense_ricci_solver(t, h):
     return ric
 
 
+def rows_ricci_solver(t, h):
+    """The solve as it was built: one row per spinor slot, basis vector
+    e_k and invariant spinor, eliminated by `linalg.solve`."""
+    spinors = invariant_spinors(h)
+    square = structure._square_map(t, structure._shift(t))
+    if any(linalg.apply(square, psi) for psi in spinors):
+        return None
+
+    rows: list[linalg.Row] = []
+    rhs: list[Scalar] = []
+    for psi in spinors:
+        gammas = [gamma_apply(j, psi) for j in range(1, DIM + 1)]
+        for k in range(1, DIM + 1):
+            target = linalg.apply(square, gammas[k - 1])
+            slots = set(target)
+            for j in range(1, DIM + 1):
+                slots.update(gammas[j - 1])
+            for s in sorted(slots):
+                rows.append({(min(j, k), max(j, k)): Scalar(-4) * g[s]
+                             for j, g in enumerate(gammas, 1) if s in g})
+                rhs.append(target.get(s, ZERO))
+    return linalg.solve(rows, rhs)
+
+
 def dense_ricci(r: CurvatureTensor):
     out = [[ZERO] * DIM for _ in range(DIM)]
     for x in range(1, DIM + 1):
@@ -478,12 +503,79 @@ def test_ricci_solver_map_is_the_upper_half_of_the_dense_solve(t, name):
         assert structure.diagonal(ric) == [dense[i][i] for i in range(DIM)]
 
 
+_FIELD = [Scalar(1), Scalar(-2), rational(3, 2), SQRT3, -SQRT5, 1 + SQRT3,
+          SQRT5 - rational(1, 2), SQRT15, 2 - SQRT3 + SQRT5]
+field_torsions = st.builds(_family_torsion, st.sampled_from(sorted(structure.FAMILIES)),
+                           st.lists(st.sampled_from(_FIELD), min_size=3, max_size=3))
+solver_torsions = st.one_of(field_torsions, three_forms,
+                            st.builds(lambda a, b: a + b, three_forms, three_forms),
+                            st.builds(lambda a, b: a + b, field_torsions, three_forms))
+SLOPES = ((1, 0), (0, 1), (1, 1))
+HOLONOMY_LABELS = CATALOG_NAMES + tuple(f"{name}[{k},{l}]" for name in ("t1", "t1tilde")
+                                        for k, l in SLOPES)
+
+
+@settings(deadline=None, max_examples=60)
+@given(solver_torsions, st.sampled_from(HOLONOMY_LABELS))
+def test_ricci_solver_reads_off_the_row_solve(t, label):
+    _, h = algebra_by_label(label)
+    assert structure.ricci_solver(t, h) == rows_ricci_solver(t, h)
+
+
+def test_ricci_solver_reads_off_the_row_solve_on_the_families():
+    # first invariant spinors of norm 1 (su3, u2, so3, r+su2) and 2 (r+su2c,
+    # g2, spin7); under spin7 the e_j psi span the other half-spinor and
+    # t^2 is symmetric, so every 3-form passes the residual there and
+    # e_123 + e_145 fails the square condition alone
+    torsions = [fam.torsion({p: 1 for p in fam.params})
+                for fam in structure.FAMILIES.values()]
+    for t in torsions + [form("e_123"), form("e_123 + e_145")]:
+        for name in ("su3", "u2", "so3", "r+su2", "r+su2c", "g2", "spin7"):
+            h = algebra(name)
+            assert structure.ricci_solver(t, h) == rows_ricci_solver(t, h), (t, name)
+    assert rows_ricci_solver(form("e_123"), algebra("spin7")) is not None
+    assert rows_ricci_solver(form("e_123 + e_145"), algebra("spin7")) is None
+
+
+def _read_off_residuals(t, h):
+    """The Ricci map read off the first invariant spinor, and the 1-based
+    numbers of the invariant spinors on which its residual is nonzero."""
+    spinors = invariant_spinors(h)
+    square = structure._square_map(t, structure._shift(t))
+    images = [[gamma_apply(j, psi) for j in range(1, DIM + 1)] for psi in spinors]
+    scale = (-4 * dot(spinors[0], spinors[0])).inverse()
+    ric = {}
+    for k in range(1, DIM + 1):
+        target = linalg.apply(square, images[0][k - 1])
+        for j in range(k, DIM + 1):
+            value = dot(target, images[0][j - 1]) * scale
+            if not value.is_zero:
+                ric[(k, j)] = value
+    failing = []
+    for n, gammas in enumerate(images, 1):
+        for k in range(1, DIM + 1):
+            residual = linalg.apply(square, gammas[k - 1])
+            for j in range(1, DIM + 1):
+                for s, v in gammas[j - 1].items():
+                    add_to(residual, s, 4 * ric.get((min(j, k), max(j, k)), ZERO) * v)
+            if residual:
+                failing.append(n)
+                break
+    return ric, failing
+
+
 def test_ricci_solver_agrees_on_an_inconsistent_solve():
-    # the square condition holds on the so3diag spinors, the system does not
+    # 5.4 passes the square condition under these holonomies, and the
+    # residual on the first invariant spinor; a later spinor alone fails
     t = structure.FAMILIES["5.4"].torsion({"b1": 1})
-    h = algebra("so3diag")
-    assert structure.square_condition_holds(t, invariant_spinors(h))
-    assert dense_ricci_solver(t, h) is None and structure.ricci_solver(t, h) is None
+    for label, failing in (("so3diag", [2, 4]), ("t1[1,1]", [3, 4, 7, 8]),
+                           ("t1tilde[1,1]", [3, 4])):
+        _, h = algebra_by_label(label)
+        assert structure.square_condition_holds(t, invariant_spinors(h))
+        ric, bad = _read_off_residuals(t, h)
+        assert ric and bad == failing, label
+        assert dense_ricci_solver(t, h) is None and rows_ricci_solver(t, h) is None
+        assert structure.ricci_solver(t, h) is None
 
 
 _GOLDEN_CASES = load_golden("curvature_cases.json")["cases"]

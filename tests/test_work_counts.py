@@ -1,5 +1,6 @@
 """Deterministic work counts on one curvature case, the Bianchi dimensions,
-the rows of the invariant Ricci family and one rebuilt Lie algebra.
+the rows of the invariant Ricci family, the spinor solve and one rebuilt
+Lie algebra.
 
 Call counts, unlike timers, are free of noise, so a change that brings
 back redundant work fails here.  Each counted function is wrapped in
@@ -11,13 +12,13 @@ import sys
 
 import pytest
 
-from spin7 import curvature, exterior, linalg
+from spin7 import curvature, exterior, liealg, linalg, structure
 from spin7.classify import ReconstructedAlgebra, reconstruct_lie_algebra
 from spin7.curvature import (CurvatureTensor, bianchi_dim, build_rc, case_family,
                              cyclic_residue, invariant_ricci_family)
 from spin7.liealg import CATALOG_NAMES, algebra
 from spin7.scalars import SQRT3, rational
-from spin7.structure import FAMILIES
+from spin7.structure import FAMILIES, ricci_solver
 
 CASE = "5.3.1-I"
 PARAMS = {"a1": 1, "a2": 2, "b1": 3}
@@ -89,6 +90,31 @@ def test_invariant_ricci_family_eliminates_one_triangle_of_commutators(
     monkeypatch.setattr(linalg, "kernel", counted)
     invariant_ricci_family(algebra(name))
     assert seen == [rows]
+
+
+def test_ricci_solver_repeats_no_work_for_the_same_holonomy(monkeypatch):
+    structure._spinor_frames.cache_clear()
+    t = case_family(CASE, PARAMS).torsion(PARAMS)
+    h = algebra("u2")
+    first = ricci_solver(t, h)
+    counts = [_count_calls(monkeypatch, [linalg.Echelon], "add_row"),
+              _count_calls(monkeypatch, [linalg], "solve"),
+              _count_calls(monkeypatch, [liealg], "invariant_spinors")]
+    assert ricci_solver(t, h) == first
+    assert counts == [[], [], []]
+
+
+def test_ricci_solver_finds_the_invariant_spinors_once_per_algebra(monkeypatch):
+    structure._spinor_frames.cache_clear()
+    calls = _count_calls(monkeypatch, [liealg], "invariant_spinors")
+    t = FAMILIES["5.4"].torsion({"b1": 1})
+    for _ in range(2):
+        for name in CATALOG_NAMES:
+            ricci_solver(t, algebra(name))
+    # t1 and t1tilde at their default slope (1, 0) are one line, spanned by
+    # e_12 - e_34, so 17 names hold 16 algebras
+    assert algebra("t1") == algebra("t1tilde")
+    assert len(calls) == len({tuple(algebra(name)) for name in CATALOG_NAMES}) == 16
 
 
 def test_killing_form_reads_the_stored_brackets(monkeypatch):
