@@ -25,7 +25,7 @@ from .curvature import (CASES, CurvatureTensor, bianchi_dim, build_rc,
                         case_weights, invariant_ricci_family)
 from .exterior import (DIM, E, MultiVector, contract, evaluate, form,
                        inner, wedge)
-from .liealg import algebra, bracket, express, in_span
+from .liealg import algebra, bracket, express
 from .scalars import ONE, SQRT3, ZERO, Scalar, ScalarLike, add_to, rational
 from .structure import FAMILIES, Ricci, diagonal, ricci_solver
 
@@ -279,8 +279,10 @@ def run_recipe(iso: str, hol: str, k: ScalarLike = 1, l: ScalarLike = 0) -> Clas
     knz = bianchi_dim(hol) > 0
     fam_id = row["family"]
 
-    if h and not all(in_span(w, g) for w in h):
-        raise ValueError(f"{label} is not a subalgebra of {iso}")
+    if h:
+        span = linalg.echelon([w.terms for w in g])
+        if not all(span.contains(w.terms) for w in h):
+            raise ValueError(f"{label} is not a subalgebra of {iso}")
 
     spec = row["admissible"].get(hol_key)
     if spec is not None:

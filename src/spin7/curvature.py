@@ -31,7 +31,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple
 
 from . import linalg
-from .exterior import DIM, Index, MultiVector, merge_sign, monomials, sigma_t
+from .exterior import Index, MultiVector, merge_sign, monomials, sigma_t
 from .liealg import SPIN7_BASIS, algebra, rotation
 from .scalars import ONE, ZERO, Scalar, ScalarLike, SQRT15, add_to, rational
 from .structure import FAMILIES, Params, Ricci, TorsionFamily
@@ -83,18 +83,26 @@ class CurvatureTensor:
 
     def invariant_under(self, h: list[MultiVector]) -> bool:
         """Whether the operator commutes with the rotations from h."""
-        return not any(_commutator(self.columns, rotation(w, 2)) for w in h)
+        return not any(_commutator(self.columns, _rotation(w)) for w in h)
 
     def ricci(self) -> Ricci:
-        """The zero-free map {(x, y): Ric(e_x, e_y)} over x <= y, where
-        Ric(X, Y) = sum_i R(e_i, X, Y, e_i)."""
-        out = {}
-        for x in range(1, DIM + 1):
-            for y in range(x, DIM + 1):
-                tot = sum((self.entry(i, x, y, i) for i in range(1, DIM + 1)), ZERO)
-                if not tot.is_zero:
-                    out[(x, y)] = tot
-        return out
+        """The zero-free map {(x, y): Ric(e_x, e_y)} over x <= y, in
+        ascending order, where Ric(X, Y) = sum_i R(e_i, X, Y, e_i).
+
+        An entry c = R(e_a, e_b, e_c, e_d) enters at every index i shared
+        by the pairs, with x and y the other index of each pair; the swaps
+        that bring i to the front of (a, b) and to the back of (c, d)
+        give its sign.
+        """
+        out: Ricci = {}
+        for (a, b), col in self.columns.items():
+            for (c, d), v in col.items():
+                for i, x in ((a, b), (b, a)):
+                    if i == c and x <= d:
+                        add_to(out, (x, d), -v if i == a else v)
+                    elif i == d and x <= c:
+                        add_to(out, (x, c), v if i == a else -v)
+        return {key: out[key] for key in sorted(out)}
 
 
 def _pair(i: int, j: int) -> tuple[Index, int]:
@@ -113,6 +121,13 @@ def _commutator(r: dict[Index, linalg.Row],
         if col:
             out[m] = col
     return out
+
+
+@lru_cache(maxsize=None)
+def _rotation(w: MultiVector) -> dict[Index, linalg.Row]:
+    """The rotation of a member of a holonomy algebra on 2-forms, shared
+    by every algebra that holds the member and never modified."""
+    return rotation(w, 2)
 
 
 def dyad(c: ScalarLike, left: MultiVector, right: MultiVector | None = None) -> Dyad:
@@ -307,7 +322,7 @@ def bianchi_dim(name: str) -> int:
 def invariant_ricci_family(h: list[MultiVector]) -> list[Ricci]:
     """Ricci tensors of symmetric h-invariant operators into span(h), as
     `CurvatureTensor.ricci` maps: an independent set spanning them all."""
-    rotations = [rotation(w, 2) for w in h]
+    rotations = [_rotation(w) for w in h]
 
     # r symmetric and rot skew make [r, rot] symmetric, so the entries
     # (m, n) with m <= n carry every condition

@@ -10,6 +10,13 @@ the torsion connection.
 The torsion families of the classification live here as well,
 as TorsionFamily records mapping parameter values to exact 3-forms and
 to the closed-form Ricci diagonal they should produce.
+
+`ricci_solver` keeps what it can share: the square map t^2 - 7|t_8|^2
+per torsion, in a bounded cache, and the invariant spinors with their
+Clifford images per holonomy.  `sigma_report` and
+`square_condition_holds` build the square map afresh, because they are
+called on streams of distinct torsions, where a cache would only grow
+the process.
 """
 
 from __future__ import annotations
@@ -176,6 +183,14 @@ def _spinor_frames(
     return tuple(frames)
 
 
+@lru_cache(maxsize=32)
+def _torsion_square(t: MultiVector) -> dict[int, Spinor]:
+    """The square map of t, shared by every candidate holonomy solved
+    against the same torsion.  Bounded: one classification pass meets 22
+    torsions."""
+    return _square_map(t, _shift(t))
+
+
 def ricci_solver(t: MultiVector, h: list[MultiVector]) -> Optional[Ricci]:
     """Solve the torsion equations for the Ricci tensor of the torsion
     connection, given a candidate holonomy algebra h.
@@ -193,9 +208,17 @@ def ricci_solver(t: MultiVector, h: list[MultiVector]) -> Optional[Ricci]:
     invariant spinor psi and every k.  Returns the zero-free map
     {(i, j): Ric(e_i, e_j)} over i <= j in ascending order, or None when
     the system is inconsistent.
+
+    The decisions of the classification solve one witness torsion against
+    several candidate holonomies, so the work is kept on both sides: S per
+    torsion (`_torsion_square`, bounded) and the invariant spinors with
+    their Clifford images per holonomy (`_spinor_frames`).  Both are
+    shared between callers and never modified.  `sigma_report` keeps no
+    cache: it meets a stream of distinct torsions, which one would only
+    hold in memory.
     """
     frames = _spinor_frames(tuple(h))
-    square = _square_map(t, _shift(t))
+    square = _torsion_square(t)
     if any(linalg.apply(square, psi) for psi, _, _ in frames):
         return None
     if not frames:

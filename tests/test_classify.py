@@ -28,6 +28,13 @@ def test_recipe_rows_for_known_pairs():
     assert not gone.admissible and gone.reason
 
 
+@pytest.mark.parametrize("hol", ["spin7", "t2tilde"])
+def test_recipe_refuses_a_candidate_partly_outside_the_invariance_algebra(hol):
+    # 14 of the 21 members of spin7 and 1 of the 2 of t2tilde lie in g2
+    with pytest.raises(ValueError, match=f"{hol} is not a subalgebra of g2"):
+        run_recipe("g2", hol)
+
+
 def test_table_is_cached_and_complete():
     table = admissibility_table()
     assert table is not admissibility_table()

@@ -23,6 +23,16 @@ def test_single_dyad_tensor_entries_and_trace():
                                    for v in (-1, -1, 0, 0, 0, 0, 0, 0)]
 
 
+def test_invariance_checks_every_member_of_h():
+    # e_57 is fixed by the first torus generator e_12 - e_34 and moved by
+    # the second, e_12 + e_34 - 2 e_56
+    h = algebra("t2")
+    r = CurvatureTensor.from_dyads([dyad(1, form("e_57"))])
+    assert r.invariant_under(h[:1])
+    assert not r.invariant_under(h)
+    assert not r.invariant_under(h[::-1])
+
+
 def test_mixed_dyads_detect_asymmetry():
     r = CurvatureTensor.from_dyads([dyad(1, form("e_12"), form("e_34"))])
     assert not r.is_symmetric()

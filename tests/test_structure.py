@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from spin7 import structure
+from spin7.classify import _ROWS, _family_with
 from spin7.clifford import BASE_SPINOR, basis_spinor
 from spin7.exterior import (CAYLEY, E, MultiVector, contract, form, inner,
                             monomials, norm_sq)
@@ -89,6 +91,36 @@ def test_ricci_solver_reproduces_closed_forms():
 def test_ricci_solver_rejects_oversized_holonomy():
     t = FAMILIES["5.1"].torsion({"a1": 1, "b1": 0, "b2": 0})
     assert ricci_solver(t, algebra("su3")) is None
+
+
+def test_ricci_solver_leaves_the_cached_square_map_as_it_was(clear_caches):
+    t = FAMILIES["5.3-I"].torsion({"a1": 1, "a2": 2, "b1": 3})
+    square = structure._torsion_square(t)
+    snapshot = {k: dict(col) for k, col in square.items()}
+    assert square == structure._square_map(t, structure._shift(t))
+    for name in ("u2", "su2", "t2", "zero", "g2", "spin7"):
+        ricci_solver(t, algebra(name))
+    assert structure._torsion_square(t) is square
+    assert square == snapshot
+
+
+def test_sigma_report_and_square_condition_cache_no_torsion(clear_caches):
+    # they meet streams of distinct torsions, which a cache would only hold
+    ricci_solver(FAMILIES["5.4"].torsion({"b1": 1}), algebra("su2"))
+    before = structure._torsion_square.cache_info().currsize
+    rng = random.Random(13)
+    for _ in range(3):
+        t = _random_3form(rng)
+        sigma_report(t)
+        square_condition_holds(t, [BASE_SPINOR])
+    assert structure._torsion_square.cache_info().currsize == before == 1
+
+
+def test_the_torsion_cache_is_bounded_and_holds_every_witness():
+    witnesses = {_family_with(row, w)[1] for row in _ROWS.values()
+                 for w in row["witnesses"].values()}
+    maxsize = structure._torsion_square.cache_info().maxsize
+    assert maxsize is not None and len(witnesses) <= maxsize
 
 
 def test_family_parameter_validation():

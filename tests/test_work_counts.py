@@ -1,6 +1,6 @@
 """Deterministic work counts on one curvature case, the Bianchi dimensions,
-the rows of the invariant Ricci family, the spinor solve and one rebuilt
-Lie algebra.
+the rows of the invariant Ricci family, the spinor solve, the work that
+admissibility decisions share and one rebuilt Lie algebra.
 
 Call counts, unlike timers, are free of noise, so a change that brings
 back redundant work fails here.  Each counted function is wrapped in
@@ -8,12 +8,16 @@ every `spin7` module namespace that holds it, so a function imported by
 name into another module is counted too.
 """
 
+import ast
+import importlib
 import sys
+from pathlib import Path
 
 import pytest
 
+import spin7
 from spin7 import curvature, exterior, liealg, linalg, structure
-from spin7.classify import ReconstructedAlgebra, reconstruct_lie_algebra
+from spin7.classify import ReconstructedAlgebra, reconstruct_lie_algebra, run_recipe
 from spin7.curvature import (CurvatureTensor, bianchi_dim, build_rc, case_family,
                              cyclic_residue, invariant_ricci_family)
 from spin7.liealg import CATALOG_NAMES, algebra
@@ -67,8 +71,7 @@ def test_ricci_and_cyclic_residue_never_apply_the_operator(monkeypatch):
     assert calls == []
 
 
-def test_bianchi_dim_solves_each_name_once_per_process(monkeypatch):
-    bianchi_dim.cache_clear()
+def test_bianchi_dim_solves_each_name_once_per_process(monkeypatch, clear_caches):
     calls = _count_calls(monkeypatch, [curvature], "bianchi_space")
     for _ in range(2):
         for name in CATALOG_NAMES:
@@ -92,8 +95,7 @@ def test_invariant_ricci_family_eliminates_one_triangle_of_commutators(
     assert seen == [rows]
 
 
-def test_ricci_solver_repeats_no_work_for_the_same_holonomy(monkeypatch):
-    structure._spinor_frames.cache_clear()
+def test_ricci_solver_repeats_no_work_for_the_same_holonomy(monkeypatch, clear_caches):
     t = case_family(CASE, PARAMS).torsion(PARAMS)
     h = algebra("u2")
     first = ricci_solver(t, h)
@@ -104,8 +106,7 @@ def test_ricci_solver_repeats_no_work_for_the_same_holonomy(monkeypatch):
     assert counts == [[], [], []]
 
 
-def test_ricci_solver_finds_the_invariant_spinors_once_per_algebra(monkeypatch):
-    structure._spinor_frames.cache_clear()
+def test_ricci_solver_finds_the_invariant_spinors_once_per_algebra(monkeypatch, clear_caches):
     calls = _count_calls(monkeypatch, [liealg], "invariant_spinors")
     t = FAMILIES["5.4"].torsion({"b1": 1})
     for _ in range(2):
@@ -115,6 +116,87 @@ def test_ricci_solver_finds_the_invariant_spinors_once_per_algebra(monkeypatch):
     # e_12 - e_34, so 17 names hold 16 algebras
     assert algebra("t1") == algebra("t1tilde")
     assert len(calls) == len({tuple(algebra(name)) for name in CATALOG_NAMES}) == 16
+
+
+def test_decisions_sharing_a_witness_square_it_once(monkeypatch, clear_caches):
+    # the row's generic witness decides g2/g2 (admissible) and g2/su3
+    # (an inconsistent Ricci system)
+    calls = _count_calls(monkeypatch, [structure], "_square_map")
+    admitted, excluded = run_recipe("g2", "g2"), run_recipe("g2", "su3")
+    assert admitted.admissible and not excluded.admissible
+    assert admitted.torsion_constraints == excluded.torsion_constraints
+    assert len(calls) == 1
+
+
+def test_invariance_checks_rotate_each_member_once(monkeypatch, clear_caches):
+    rc = build_rc(CASE, PARAMS)
+    h = algebra(curvature.CASES[CASE].holonomy)
+    calls = _count_calls(monkeypatch, [liealg], "rotation")
+    assert rc.invariant_under(h)
+    assert invariant_ricci_family(h)
+    assert len(calls) == len(h)
+    # the rotations are kept per member, so an algebra of members already
+    # met rotates nothing
+    assert algebra("t1")[0] in h
+    assert invariant_ricci_family(algebra("t1"))
+    assert len(calls) == len(h)
+
+
+def test_a_decision_builds_one_echelon_of_the_invariance_algebra(monkeypatch, clear_caches):
+    g = [w.terms for w in algebra("g2")]
+    echelon, rows_seen = linalg.echelon, []
+
+    def counted(rows):
+        rows_seen.append(rows)
+        return echelon(rows)
+
+    monkeypatch.setattr(linalg, "echelon", counted)
+    run_recipe("g2", "su3")
+    assert rows_seen.count(g) == 1
+
+
+def test_ricci_reads_the_columns_not_the_entries(monkeypatch):
+    rc = build_rc(CASE, PARAMS)
+    calls = _count_calls(monkeypatch, [CurvatureTensor], "entry")
+    assert rc.ricci()
+    assert calls == []
+
+
+def _cached_functions():
+    """Every `lru_cache`-decorated function of the package, by module and
+    attribute path, read from the source."""
+    found = []
+    for path in sorted(Path(spin7.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owners = [((), tree)] + [((node.name,), node) for node in tree.body
+                                 if isinstance(node, ast.ClassDef)]
+        for prefix, owner in owners:
+            for node in owner.body:
+                if isinstance(node, ast.FunctionDef) and any(
+                        "lru_cache" in ast.unparse(d) for d in node.decorator_list):
+                    found.append((f"spin7.{path.stem}", prefix + (node.name,)))
+    return found
+
+
+def _cache_sizes():
+    sizes = {}
+    for modname, attrs in _cached_functions():
+        fn = importlib.import_module(modname)
+        for attr in attrs:
+            fn = getattr(fn, attr)
+        sizes[(modname, attrs)] = fn.cache_info().currsize
+    return sizes
+
+
+def test_clear_caches_empties_every_cache_in_the_package(clear_caches):
+    # u2/t2 is decided through the operator of 5.3.1-I, so the decision
+    # fills the torsion, holonomy and rotation caches
+    run_recipe("u2", "t2")
+    shared = [("spin7.structure", ("_torsion_square",)),
+              ("spin7.structure", ("_spinor_frames",)), ("spin7.curvature", ("_rotation",))]
+    assert all(_cache_sizes()[key] for key in shared)
+    clear_caches()
+    assert set(_cache_sizes().values()) == {0}
 
 
 def test_killing_form_reads_the_stored_brackets(monkeypatch):
