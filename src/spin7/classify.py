@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
 from . import linalg
-from .curvature import (CASES, CurvatureTensor, bianchi_dim, build_rc,
+from .curvature import (CASES, CurvatureTensor, bianchi_nontrivial, build_rc,
                         case_weights, invariant_ricci_family)
 from .exterior import (DIM, E, MultiVector, contract, evaluate, form,
                        inner, wedge)
@@ -276,7 +276,7 @@ def run_recipe(iso: str, hol: str, k: ScalarLike = 1, l: ScalarLike = 0) -> Clas
         label = hol
     row = _ROWS[iso]
     g = algebra(iso)
-    knz = bianchi_dim(hol) > 0
+    knz = bianchi_nontrivial(hol)
     fam_id = row["family"]
 
     if h:

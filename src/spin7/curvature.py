@@ -291,13 +291,17 @@ def _s2_operator(x: linalg.Row, h: list[MultiVector]) -> CurvatureTensor:
     return CurvatureTensor.from_dyads(pieces)
 
 
+def _s2_keys(h: list[MultiVector]) -> list[tuple[int, int]]:
+    return [(a, b) for a in range(len(h)) for b in range(a, len(h))]
+
+
 def _s2_kernel(h: list[MultiVector],
                test: Callable[[CurvatureTensor], linalg.Row]) -> list[CurvatureTensor]:
     """The operators of S^2(h) that the linear map test, from an operator
     to a zero-free row, sends to zero: a basis when the members of h are
     independent, and only a spanning set otherwise, since dependent
     members make the keys dependent."""
-    keys = [(a, b) for a in range(len(h)) for b in range(a, len(h))]
+    keys = _s2_keys(h)
     images = {key: test(_s2_operator({key: ONE}, h)) for key in keys}
     return [_s2_operator(x, h) for x in linalg.kernel(images, keys)]
 
@@ -317,6 +321,21 @@ def bianchi_space(h: list[MultiVector]) -> list[CurvatureTensor]:
 def bianchi_dim(name: str) -> int:
     """Dimension of the Bianchi space of a catalog algebra."""
     return len(bianchi_space(algebra(name)))
+
+
+@lru_cache(maxsize=None)
+def bianchi_nontrivial(name: str) -> bool:
+    """Whether the Bianchi space of a catalog algebra is nonzero.
+
+    The space is the kernel of the cyclic sum over S^2(h), so it is
+    nonzero exactly when the cyclic sums of the keys are dependent; the
+    search stops at the first dependent one.  The catalog members are
+    independent, so this is `bianchi_dim(name) > 0` without the basis.
+    """
+    h = algebra(name)
+    ech = linalg.Echelon()
+    return any(ech.add_row(cyclic_sum(_s2_operator({key: ONE}, h))) is None
+               for key in _s2_keys(h))
 
 
 def invariant_ricci_family(h: list[MultiVector]) -> list[Ricci]:

@@ -11,9 +11,14 @@ The torsion families of the classification live here as well,
 as TorsionFamily records mapping parameter values to exact 3-forms and
 to the closed-form Ricci diagonal they should produce.
 
-`ricci_solver` keeps what it can share: the square map t^2 - 7|t_8|^2
-per torsion, in a bounded cache, and the invariant spinors with their
-Clifford images per holonomy.  `sigma_report` and
+The spinor equations all go through S = t^2 - 7|t_8|^2.  The Clifford
+square of a 3-form is t^2 = |t|^2 - 2 sigma_t (Agricola, The Srni
+lectures, arXiv:math/0606705), so S = (|t|^2 - 7|t_8|^2) - 2 sigma_t
+acts on a spinor through one 4-form.
+
+`ricci_solver` keeps what it can share: the square map S per torsion,
+in a bounded cache, and the invariant spinors with their Clifford images
+per holonomy.  `sigma_report` and
 `square_condition_holds` build the square map afresh, because they are
 called on streams of distinct torsions, where a cache would only grow
 the process.
@@ -121,11 +126,19 @@ def _shift(t: MultiVector) -> Scalar:
 
 
 def _square_map(t: MultiVector, shift: Scalar) -> dict[int, Spinor]:
-    """Column images of the spinor map psi -> t^2 psi - shift psi."""
+    """Column images of the spinor map psi -> t^2 psi - shift psi.
+
+    The Clifford square of a 3-form is t^2 = |t|^2 - 2 sigma_t
+    (Agricola, The Srni lectures, arXiv:math/0606705), so each column is
+    one action of the 4-form -2 sigma_t plus (|t|^2 - shift) on the
+    diagonal.
+    """
+    sig = sigma_t(t) * -2
+    diag = norm_sq(t) - shift
     columns = {}
     for k in range(N_SPIN):
-        col = act(t, act(t, basis_spinor(k)))
-        add_to(col, k, -shift)
+        col = act(sig, basis_spinor(k))
+        add_to(col, k, diag)
         if col:
             columns[k] = col
     return columns
@@ -196,11 +209,12 @@ def ricci_solver(t: MultiVector, h: list[MultiVector]) -> Optional[Ricci]:
     connection, given a candidate holonomy algebra h.
 
     Every h-invariant spinor psi and every basis vector e_k contribute the
-    equation -4 Ric(e_k) psi = S e_k psi with S = t^2 - 7|t_8|^2,
-    preceded by the square condition S psi = 0.  The generators act by
-    skew signed permutations and pairwise anticommute, so the eight
-    spinors e_j psi are pairwise orthogonal with |e_j psi|^2 = |psi|^2.
-    The equation for e_k therefore forces
+    equation -4 Ric(e_k) psi = S e_k psi with
+    S = t^2 - 7|t_8|^2 = (|t|^2 - 7|t_8|^2) - 2 sigma_t (Agricola,
+    arXiv:math/0606705), preceded by the square condition S psi = 0.
+    The generators act by skew signed permutations and pairwise
+    anticommute, so the eight spinors e_j psi are pairwise orthogonal
+    with |e_j psi|^2 = |psi|^2.  The equation for e_k therefore forces
     Ric(e_k, e_j) = <S e_k psi, e_j psi> / (-4 |psi|^2): one invariant
     spinor fixes every unknown.  The entries i <= j are read off the
     first invariant spinor, and the system is consistent exactly when the

@@ -4,8 +4,9 @@ import pytest
 
 from spin7 import verification
 from spin7.curvature import (CASES, CurvatureTensor, bianchi_dim,
-                             bianchi_space, build_rc, case_weights,
-                             cyclic_residue, dyad, vanishing_constraints)
+                             bianchi_nontrivial, bianchi_space, build_rc,
+                             case_weights, cyclic_residue, dyad,
+                             vanishing_constraints)
 from spin7.exterior import form
 from spin7.liealg import CATALOG_NAMES, algebra
 from spin7.scalars import Scalar, rational
@@ -58,6 +59,7 @@ _BIANCHI_DIMS = {"spin7": 168, "g2": 77, "su3": 27, "su2+su2c": 5, "u2": 5,
 def test_bianchi_dimensions_are_the_literature_values():
     for name in CATALOG_NAMES:
         assert bianchi_dim(name) == _BIANCHI_DIMS.get(name, 0), name
+        assert bianchi_nontrivial(name) == (bianchi_dim(name) > 0), name
         members = bianchi_space(algebra(name))
         assert len(members) == bianchi_dim(name)
         assert all(r.is_symmetric() and r.range_inside(algebra(name)) and cyclic_residue(r)

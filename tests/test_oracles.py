@@ -8,12 +8,15 @@ contractions, the bracket as a commutator of dense skew 8x8 matrices, and
 the rotation of a vector read off that matrix.  The two hand-split
 parsers of scalar and form strings are kept the same way, and so is the
 renumbering of the monomials of a grade as 0..C(8, k)-1 that the linear
-algebra once ran on.  The Ricci tensors are checked against the dense
-symmetric 8x8 matrices they were, the spinor solve against its run over
-int-renumbered unknowns, against the row elimination that the
-read-off from one invariant spinor replaced and, on a warm cache, against
-its own run on cleared caches, and the reconstructed Lie
-algebras against the upper-triangle bracket table read with sign flips.
+algebra once ran on.  The square map of a torsion, now one action of
+sigma_t per spinor, is checked against the 3-form applied twice, and the
+oracle solves below build their square map that way.  The Ricci tensors
+are checked against the dense symmetric 8x8 matrices they were, the
+spinor solve against its run over int-renumbered unknowns, against the
+row elimination that the read-off from one invariant spinor replaced
+and, on a warm cache, against its own run on cleared caches, and the
+reconstructed Lie algebras against the upper-triangle bracket table read
+with sign flips.
 The Bianchi spaces and invariant Ricci families, kernels over S^2(h), are
 checked for span against the rows over the unknowns (monomial, member of
 h) they were solved from, with and without the symmetry rows.  The table
@@ -30,12 +33,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from spin7 import curvature, linalg, structure, verification
 from spin7.classify import reconstruct_lie_algebra
-from spin7.clifford import gamma_apply
+from spin7.clifford import (N_SPIN, act, basis_spinor, gamma_apply,
+                            spinor_scale)
 from spin7.curvature import (CASES, CurvatureTensor, build_rc, case_family,
                              case_weights, cyclic_residue, dyad,
                              vanishing_constraints)
 from spin7.exterior import (DIM, E, MultiVector, evaluate, form, inner,
-                            monomials, sigma_t)
+                            monomials, norm_sq, sigma_t)
 from spin7.liealg import (CATALOG_NAMES, SPIN7_BASIS, act_on_form, algebra,
                           algebra_by_label, bracket, express,
                           invariant_spinors, rotation)
@@ -404,12 +408,58 @@ def test_s2_kernels_span_the_row_built_spaces_of_the_catalog():
 
 
 # ---------------------------------------------------------------------------
+# the torsion square: the 3-form applied twice against one action of sigma_t
+
+def ref_square_map(t: MultiVector, shift: Scalar) -> dict:
+    """Column images of psi -> t^2 psi - shift psi, t applied twice."""
+    columns = {}
+    for k in range(N_SPIN):
+        col = act(t, act(t, basis_spinor(k)))
+        add_to(col, k, -shift)
+        if col:
+            columns[k] = col
+    return columns
+
+
+_SURDS = [SQRT3, -SQRT5, 1 + SQRT3, SQRT5 - rational(1, 2), SQRT15,
+          2 - SQRT3 + SQRT5, rational(3, 2) * SQRT15]
+square_torsions = st.one_of(*[
+    st.dictionaries(st.sampled_from(monomials(3)), values,
+                    min_size=1, max_size=20).map(MultiVector)
+    for values in (st.integers(-5, 5).filter(bool).map(Scalar),
+                   st.sampled_from(_SURDS + [-v for v in _SURDS]))])
+
+
+@settings(deadline=None, max_examples=40)
+@given(square_torsions, st.one_of(st.none(), coeffs))
+def test_square_map_is_the_3_form_applied_twice(t, shift):
+    shift = structure._shift(t) if shift is None else shift
+    new, ref = structure._square_map(t, shift), ref_square_map(t, shift)
+    assert list(new) == list(ref)
+    for k, col in ref.items():
+        assert new[k] == col, k
+
+
+def test_the_square_of_a_3_form_is_its_norm_minus_twice_sigma_t():
+    torsions = [fam.torsion(dict(zip(fam.params, (1, SQRT3, -2))))
+                for fam in structure.FAMILIES.values()]
+    for t in torsions + [form("e_123"), form("e_123 + e_145 - 3*e_678")]:
+        sig = sigma_t(t)
+        for k in range(N_SPIN):
+            psi = basis_spinor(k)
+            want = spinor_scale(psi, norm_sq(t))
+            for s, v in act(sig, psi).items():
+                add_to(want, s, -2 * v)
+            assert act(t, act(t, psi)) == want, (t, k)
+
+
+# ---------------------------------------------------------------------------
 # Ricci tensors: the dense symmetric 8x8 matrices, and the spinor solve over
 # the unknowns (i, j), i <= j, renumbered as ints
 
 def dense_ricci_solver(t, h):
     spinors = invariant_spinors(h)
-    square = structure._square_map(t, structure._shift(t))
+    square = ref_square_map(t, structure._shift(t))
     if any(linalg.apply(square, psi) for psi in spinors):
         return None
 
@@ -447,7 +497,7 @@ def rows_ricci_solver(t, h):
     """The solve as it was built: one row per spinor slot, basis vector
     e_k and invariant spinor, eliminated by `linalg.solve`."""
     spinors = invariant_spinors(h)
-    square = structure._square_map(t, structure._shift(t))
+    square = ref_square_map(t, structure._shift(t))
     if any(linalg.apply(square, psi) for psi in spinors):
         return None
 
@@ -556,7 +606,7 @@ def _read_off_residuals(t, h):
     """The Ricci map read off the first invariant spinor, and the 1-based
     numbers of the invariant spinors on which its residual is nonzero."""
     spinors = invariant_spinors(h)
-    square = structure._square_map(t, structure._shift(t))
+    square = ref_square_map(t, structure._shift(t))
     images = [[gamma_apply(j, psi) for j in range(1, DIM + 1)] for psi in spinors]
     scale = (-4 * dot(spinors[0], spinors[0])).inverse()
     ric = {}

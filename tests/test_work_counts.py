@@ -1,6 +1,7 @@
 """Deterministic work counts on one curvature case, the Bianchi dimensions,
-the rows of the invariant Ricci family, the spinor solve, the work that
-admissibility decisions share and one rebuilt Lie algebra.
+the rows of the invariant Ricci family, the spinor solve, the torsion
+square map, the work that admissibility decisions share, a cold
+admissibility table and one rebuilt Lie algebra.
 
 Call counts, unlike timers, are free of noise, so a change that brings
 back redundant work fails here.  Each counted function is wrapped in
@@ -16,8 +17,9 @@ from pathlib import Path
 import pytest
 
 import spin7
-from spin7 import curvature, exterior, liealg, linalg, structure
-from spin7.classify import ReconstructedAlgebra, reconstruct_lie_algebra, run_recipe
+from spin7 import clifford, curvature, exterior, liealg, linalg, structure
+from spin7.classify import (ReconstructedAlgebra, admissibility_table,
+                            reconstruct_lie_algebra, run_recipe)
 from spin7.curvature import (CurvatureTensor, bianchi_dim, build_rc, case_family,
                              cyclic_residue, invariant_ricci_family)
 from spin7.liealg import CATALOG_NAMES, algebra
@@ -126,6 +128,26 @@ def test_decisions_sharing_a_witness_square_it_once(monkeypatch, clear_caches):
     assert admitted.admissible and not excluded.admissible
     assert admitted.torsion_constraints == excluded.torsion_constraints
     assert len(calls) == 1
+
+
+def test_the_square_map_acts_once_per_basis_spinor(monkeypatch):
+    t = case_family(CASE, PARAMS).torsion(PARAMS)
+    calls = _count_calls(monkeypatch, [clifford], "act")
+    assert structure._square_map(t, structure._shift(t))
+    # one action of sigma_t per column; applying t twice made 32
+    assert len(calls) == clifford.N_SPIN
+
+
+def test_a_cold_admissibility_table_stays_within_its_work(monkeypatch, clear_caches):
+    # applying t twice made 1,536 actions, and building every Bianchi
+    # basis 230 cyclic sums and 37 kernels
+    bounds = {"act": 1280, "cyclic_sum": 62, "kernel": 21, "_square_map": 16}
+    owners = {"act": clifford, "cyclic_sum": curvature, "kernel": linalg,
+              "_square_map": structure}
+    calls = {name: _count_calls(monkeypatch, [owners[name]], name) for name in bounds}
+    assert admissibility_table()
+    counts = {name: len(seen) for name, seen in calls.items()}
+    assert all(counts[name] <= bound for name, bound in bounds.items()), counts
 
 
 def test_invariance_checks_rotate_each_member_once(monkeypatch, clear_caches):
