@@ -52,40 +52,37 @@ class ClassificationRow:
 # Candidate holonomies carrying a slope are keyed by (name, slope class):
 # "l0" is the line through the first torus generator, "k0" the line
 # through the second, "kl" a line meeting neither axis.  Admissible
-# entries record (locus, curvature constraint, operator case or None);
-# excluded entries record (exclusion kind, reason).  One-parameter rows
-# mark inconsistency exclusions with "scaling": the Ricci system scales
-# quadratically in the parameter, so one witness settles every nonzero
-# value.  A row with "escape" exclusions names, as "escape_case", the
-# operator case whose range leaks out of the candidate.
+# entries record (locus, curvature constraint, operator case or None).
+# Excluded keys are grouped by the outcome their check asserts:
+# "inconsistent", no Ricci solution at the generic witness (the
+# one-parameter systems scale quadratically, so one witness settles every
+# nonzero value); "outside", a solution there outside the invariant Ricci
+# family; "escape", key -> (operator case, reason), the case's operator
+# at the witness leaks out of the candidate; "locus", key -> reason, the
+# exact elimination puts the vanishing weights only where the invariance
+# algebra jumps.
 
 _SLOPE_REP = {"l0": (1, 0), "k0": (0, 1), "kl": (1, 1)}
+_EXCLUSIONS = ("inconsistent", "outside", "escape", "locus")
+_INCONSISTENT = "Ricci system inconsistent (scaling)"
+_OUTSIDE = "solved Ricci lies outside the invariant symmetric operator family"
+_JUMP = ("r1 = r2 = 0 holds only where the invariance algebra jumps "
+         "(a1 = 0, b1 = -a2)")
 
 _ROWS: dict[str, dict] = {
     "g2": {
         "family": "5.1",
         "fixed": {"b1": 0, "b2": 0},
         "witnesses": {"generic": {"a1": 1}},
-        "escape_case": "5.1.1",
         "admissible": {
             "g2": ("generic", "", None),
             "su2+su2c": ("generic", "", None),
             "r+su2c": ("generic", "", "5.1.1"),
             "so3ir": ("generic", "", "5.1.2"),
         },
-        "excluded": {
-            "su3": ("inconsistent", "Ricci system inconsistent (scaling)"),
-            "u2": ("inconsistent", "Ricci system inconsistent (scaling)"),
-            "su2": ("inconsistent", "Ricci system inconsistent (scaling)"),
-            "so3": ("inconsistent", "Ricci system inconsistent (scaling)"),
-            "so3diag": ("inconsistent", "Ricci system inconsistent (scaling)"),
-            "su2c": ("escape", "operator weight r1 = -15/2 a1^2 never vanishes"),
-            "t2": ("inconsistent", "Ricci system inconsistent (scaling)"),
-            ("t1", "l0"): ("inconsistent", "Ricci system inconsistent (scaling)"),
-            ("t1", "k0"): ("inconsistent", "Ricci system inconsistent (scaling)"),
-            ("t1", "kl"): ("inconsistent", "Ricci system inconsistent (scaling)"),
-            "zero": ("inconsistent", "Ricci system inconsistent (scaling)"),
-        },
+        "inconsistent": ("su3", "u2", "su2", "so3", "so3diag", "t2",
+                         ("t1", "l0"), ("t1", "k0"), ("t1", "kl"), "zero"),
+        "escape": {"su2c": ("5.1.1", "operator weight r1 = -15/2 a1^2 never vanishes")},
     },
     "so3ir": {
         "family": "5.1",
@@ -94,9 +91,7 @@ _ROWS: dict[str, dict] = {
         "admissible": {
             "so3ir": ("generic", "", "5.1.2"),
         },
-        "excluded": {
-            "zero": ("inconsistent", "Ricci system inconsistent (scaling)"),
-        },
+        "inconsistent": ("zero",),
     },
     "su2+su2c": {
         "family": "5.1",
@@ -120,7 +115,6 @@ _ROWS: dict[str, dict] = {
             ("t1", "kl"): ("flat", "r1 = r2 = 0", "5.1.1"),
             "zero": ("flat", "r1 = r2 = 0", "5.1.1"),
         },
-        "excluded": {},
     },
     "r+su2c": {
         "family": "5.1",
@@ -140,27 +134,20 @@ _ROWS: dict[str, dict] = {
             ("t1", "kl"): ("flat", "r1 = r2 = 0", "5.1.1"),
             "zero": ("flat", "r1 = r2 = 0", "5.1.1"),
         },
-        "excluded": {},
     },
     "su3": {
         "family": "5.2-I",
         "fixed": {},
         "witnesses": {"generic": {"a1": 1}},
-        "escape_case": "5.2.2",
         "admissible": {
             "su3": ("generic", "", None),
             "u2": ("generic", "", None),
             "so3": ("generic", "", "5.2.1"),
             "t2": ("generic", "", "5.2.2"),
         },
-        "excluded": {
-            "su2": ("inconsistent", "Ricci system inconsistent (scaling)"),
-            ("t1", "l0"): ("inconsistent", "Ricci system inconsistent (scaling)"),
-            ("t1", "k0"): ("escape", "torus operator carries weight -3*lambda/4 "
-                           "on the first generator, forcing T = 0"),
-            ("t1", "kl"): ("inconsistent", "Ricci system inconsistent (scaling)"),
-            "zero": ("inconsistent", "Ricci system inconsistent (scaling)"),
-        },
+        "inconsistent": ("su2", ("t1", "l0"), ("t1", "kl"), "zero"),
+        "escape": {("t1", "k0"): ("5.2.2", "torus operator carries weight -3*lambda/4 "
+                                  "on the first generator, forcing T = 0")},
     },
     "so3": {
         "family": "5.2-II",
@@ -174,7 +161,6 @@ _ROWS: dict[str, dict] = {
             ("t1", "kl"): ("flat", "lambda = 0", "5.2.1"),
             "zero": ("flat", "lambda = 0", "5.2.1"),
         },
-        "excluded": {},
     },
     "u2": {
         "family": "5.3-I",
@@ -191,12 +177,7 @@ _ROWS: dict[str, dict] = {
             ("t1", "k0"): ("r1zero", "r1 = 0", "5.3.1-I"),
             ("t1", "l0"): ("kappa0", "r2 = 0", "5.3.1-I"),
         },
-        "excluded": {
-            ("t1", "kl"): ("locus", "r1 = r2 = 0 holds only where the "
-                           "invariance algebra jumps (a1 = 0, b1 = -a2)"),
-            "zero": ("locus", "r1 = r2 = 0 holds only where the invariance "
-                     "algebra jumps (a1 = 0, b1 = -a2)"),
-        },
+        "locus": {("t1", "kl"): _JUMP, "zero": _JUMP},
     },
     "r+su2": {
         "family": "5.4",
@@ -205,28 +186,14 @@ _ROWS: dict[str, dict] = {
         "admissible": {
             "r+su2": ("generic", "", None),
         },
-        "excluded": {
-            "su2": ("auto", ""),
-            "t2tilde": ("auto", ""),
-            ("t1tilde", "l0"): ("auto", ""),
-            ("t1tilde", "k0"): ("auto", ""),
-            ("t1tilde", "kl"): ("auto", ""),
-            "zero": ("auto", ""),
-        },
+        "inconsistent": ("su2", ("t1tilde", "l0"), ("t1tilde", "kl"), "zero"),
+        "outside": ("t2tilde", ("t1tilde", "k0")),
     },
 }
 
 # grouped-view names for entries whose catalog name differs from the
 # display label of the column they appear in
 _GROUP_LABEL = {"so3diag": "so3"}
-
-
-def _slope_class(k: Scalar, l: Scalar) -> str:
-    if l.is_zero:
-        return "l0"
-    if k.is_zero:
-        return "k0"
-    return "kl"
 
 
 def _family_with(row: dict, assignment: dict) -> tuple[dict, MultiVector, str]:
@@ -267,7 +234,7 @@ def run_recipe(iso: str, hol: str, k: ScalarLike = 1, l: ScalarLike = 0) -> Clas
         raise ValueError(f"no decision row for {iso!r}")
     if hol in ("t1", "t1tilde"):
         ks, ls = Scalar.coerce(k), Scalar.coerce(l)
-        hol_key = (hol, _slope_class(ks, ls))
+        hol_key = (hol, "l0" if ls.is_zero else "k0" if ks.is_zero else "kl")
         h = algebra(hol, ks, ls)
         label = f"{hol}[{ks},{ls}]"
     else:
@@ -275,59 +242,54 @@ def run_recipe(iso: str, hol: str, k: ScalarLike = 1, l: ScalarLike = 0) -> Clas
         h = algebra(hol)
         label = hol
     row = _ROWS[iso]
-    g = algebra(iso)
-    knz = bianchi_nontrivial(hol)
-    fam_id = row["family"]
-
     if h:
-        span = linalg.echelon([w.terms for w in g])
+        span = linalg.echelon([w.terms for w in algebra(iso)])
         if not all(span.contains(w.terms) for w in h):
             raise ValueError(f"{label} is not a subalgebra of {iso}")
+    knz = bianchi_nontrivial(hol)
+    fam_id = row["family"]
+    who = f"({iso}, {label})"
 
     spec = row["admissible"].get(hol_key)
     if spec is not None:
         locus, constraint, case = spec
         full, t, text = _family_with(row, row["witnesses"][locus])
         if t.is_zero:
-            raise AssertionError(f"witness torsion vanished for ({iso}, {label})")
+            raise AssertionError(f"witness torsion vanished for {who}")
         sol = ricci_solver(t, h)
         if sol is None:
-            raise AssertionError(f"witness lost consistency for ({iso}, {label})")
+            raise AssertionError(f"witness lost consistency for {who}")
         if case is not None:
-            _verify_operator(case, full, h, sol, f"({iso}, {label})")
+            _verify_operator(case, full, h, sol, who)
         diag = ", ".join(str(v) for v in diagonal(sol))
         return ClassificationRow(iso, label, knz, fam_id, text,
                                  f"diag({diag})", constraint, True)
 
     full, t, text = _family_with(row, row["witnesses"]["generic"])
-    kind_reason = row["excluded"].get(hol_key)
-    if kind_reason is None:
-        return ClassificationRow(iso, label, knz, fam_id, text, "", "",
-                                 False, "pair not covered by the decision rows")
-    kind, reason = kind_reason
-
-    if kind == "inconsistent":
+    if hol_key in row.get("inconsistent", ()):
         if ricci_solver(t, h) is not None:
-            raise AssertionError(f"exclusion witness became consistent for ({iso}, {label})")
-    elif kind == "escape":
+            raise AssertionError(f"exclusion witness became consistent for {who}")
+        reason = _INCONSISTENT
+    elif hol_key in row.get("outside", ()):
+        sol = ricci_solver(t, h)
+        if sol is None or linalg.in_span(invariant_ricci_family(h), sol):
+            raise AssertionError(f"solved Ricci no longer outside the invariant "
+                                 f"family for {who}")
+        reason = _OUTSIDE
+    elif hol_key in row.get("escape", ()):
         # the system is consistent, but the candidate operator of the
         # case leaks out of the span unless the torsion vanishes
-        if build_rc(row["escape_case"], full).range_inside(h):
-            raise AssertionError(f"operator stopped leaking for ({iso}, {label})")
-    elif kind == "locus":
+        case, reason = row["escape"][hol_key]
+        if build_rc(case, full).range_inside(h):
+            raise AssertionError(f"operator stopped leaking for {who}")
+    elif hol_key in row.get("locus", ()):
+        reason = row["locus"][hol_key]
         for elim_id in ("5.3-I", "5.3-II"):
             for branch in two_weight_vanishing_locus(elim_id):
                 if not branch["excluded"]:
                     raise AssertionError("a weight-vanishing branch became valid")
-    elif kind == "auto":
-        sol = ricci_solver(t, h)
-        if sol is None:
-            reason = "Ricci system inconsistent (scaling)"
-        else:
-            if linalg.in_span(invariant_ricci_family(h), sol):
-                raise AssertionError(f"invariant family matched for ({iso}, {label})")
-            reason = ("solved Ricci lies outside the invariant symmetric "
-                      "operator family")
+    else:
+        reason = "pair not covered by the decision rows"
     return ClassificationRow(iso, label, knz, fam_id, text, "", "",
                              False, reason)
 
@@ -336,9 +298,10 @@ def run_recipe(iso: str, hol: str, k: ScalarLike = 1, l: ScalarLike = 0) -> Clas
 def _table_rows() -> tuple[ClassificationRow, ...]:
     out = []
     for iso, row in _ROWS.items():
-        for key in list(row["admissible"]) + list(row["excluded"]):
-            hol = (key[0], *_SLOPE_REP[key[1]]) if isinstance(key, tuple) else (key,)
-            out.append(run_recipe(iso, *hol))
+        for group in ("admissible", *_EXCLUSIONS):
+            for key in row.get(group, ()):
+                hol = (key[0], *_SLOPE_REP[key[1]]) if isinstance(key, tuple) else (key,)
+                out.append(run_recipe(iso, *hol))
     return tuple(out)
 
 

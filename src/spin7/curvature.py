@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from functools import lru_cache
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import linalg
 from .exterior import Index, MultiVector, merge_sign, monomials, sigma_t
@@ -317,25 +317,27 @@ def bianchi_space(h: list[MultiVector]) -> list[CurvatureTensor]:
     return _s2_kernel(h, cyclic_sum)
 
 
+def _dependent_cyclic_sums(name: str) -> Iterator[bool]:
+    """Key by key over S^2(h) of a catalog algebra, whether the key's
+    cyclic sum depends on the earlier ones, from one elimination: the
+    Bianchi space, their kernel, has one dimension per dependent key."""
+    h = algebra(name)
+    ech = linalg.Echelon()
+    for key in _s2_keys(h):
+        yield ech.add_row(cyclic_sum(_s2_operator({key: ONE}, h))) is None
+
+
 @lru_cache(maxsize=None)
 def bianchi_dim(name: str) -> int:
     """Dimension of the Bianchi space of a catalog algebra."""
-    return len(bianchi_space(algebra(name)))
+    return sum(_dependent_cyclic_sums(name))
 
 
 @lru_cache(maxsize=None)
 def bianchi_nontrivial(name: str) -> bool:
-    """Whether the Bianchi space of a catalog algebra is nonzero.
-
-    The space is the kernel of the cyclic sum over S^2(h), so it is
-    nonzero exactly when the cyclic sums of the keys are dependent; the
-    search stops at the first dependent one.  The catalog members are
-    independent, so this is `bianchi_dim(name) > 0` without the basis.
-    """
-    h = algebra(name)
-    ech = linalg.Echelon()
-    return any(ech.add_row(cyclic_sum(_s2_operator({key: ONE}, h))) is None
-               for key in _s2_keys(h))
+    """Whether the Bianchi space of a catalog algebra is nonzero, stopping
+    at the first dependent cyclic sum."""
+    return any(_dependent_cyclic_sums(name))
 
 
 def invariant_ricci_family(h: list[MultiVector]) -> list[Ricci]:

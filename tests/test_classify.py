@@ -1,14 +1,16 @@
 import dataclasses
+import json
+from pathlib import Path
 
 import pytest
 
-from spin7 import verification
-from spin7.classify import (admissibility_table, admissible_pairs,
+from spin7 import classify, verification
+from spin7.classify import (ClassificationRow, admissibility_table, admissible_pairs,
                             family_span_dims, flat_operator_locus,
                             phi_from_hermitian, reconstruct_lie_algebra,
                             run_recipe, splitting_check,
                             two_weight_vanishing_locus)
-from spin7.curvature import build_rc
+from spin7.curvature import bianchi_nontrivial, build_rc
 from spin7.exterior import CAYLEY, E
 from spin7.liealg import algebra, bracket, express
 from spin7.scalars import Scalar
@@ -29,10 +31,55 @@ def test_recipe_rows_for_known_pairs():
 
 
 @pytest.mark.parametrize("hol", ["spin7", "t2tilde"])
-def test_recipe_refuses_a_candidate_partly_outside_the_invariance_algebra(hol):
+def test_recipe_refuses_a_candidate_partly_outside_the_invariance_algebra(hol, clear_caches):
     # 14 of the 21 members of spin7 and 1 of the 2 of t2tilde lie in g2
     with pytest.raises(ValueError, match=f"{hol} is not a subalgebra of g2"):
         run_recipe("g2", hol)
+    # the refusal comes before the Bianchi elimination of the candidate
+    assert bianchi_nontrivial.cache_info().currsize == 0
+
+
+# every field of the 61 decisions, recorded once, by invariance label and
+# candidate label
+ROWS_FILE = Path(__file__).parent / "data" / "classification" / "rows.json"
+RECORDED_ROWS = {(iso, hol): ClassificationRow(**fields)
+                 for iso, rows in json.loads(ROWS_FILE.read_text(encoding="utf-8")).items()
+                 for hol, fields in rows.items()}
+
+
+def _recipe_args(label):
+    name, _, slope = label.partition("[")
+    return [name, *(Scalar.parse(v) for v in slope.rstrip("]").split(",") if slope)]
+
+
+def test_table_rows_are_the_recipe_decisions():
+    assert len(RECORDED_ROWS) == 61
+    assert {r.key(): r for r in admissibility_table()} == RECORDED_ROWS
+    for (iso, hol), row in RECORDED_ROWS.items():
+        assert run_recipe(iso, *_recipe_args(hol)) == row
+
+
+def test_every_row_key_has_exactly_one_outcome():
+    groups = ("admissible", *classify._EXCLUSIONS)
+    for iso, row in classify._ROWS.items():
+        assert set(row) <= {"family", "fixed", "witnesses", *groups}, iso
+        keys = [key for group in groups for key in row.get(group, ())]
+        assert len(keys) == len(set(keys)), iso
+
+
+@pytest.mark.parametrize("key, source, target, failure", [
+    # t2tilde's Ricci system solves, zero's has no solution
+    ("t2tilde", "outside", "inconsistent", "became consistent"),
+    ("zero", "inconsistent", "outside", "no longer outside"),
+], ids=["t2tilde", "zero"])
+def test_a_key_in_the_wrong_exclusion_group_fails_its_check(monkeypatch, key, source,
+                                                           target, failure):
+    row = dict(classify._ROWS["r+su2"])
+    row[source] = tuple(k for k in row[source] if k != key)
+    row[target] = (*row[target], key)
+    monkeypatch.setitem(classify._ROWS, "r+su2", row)
+    with pytest.raises(AssertionError, match=failure):
+        run_recipe("r+su2", key)
 
 
 def test_table_is_cached_and_complete():
@@ -42,13 +89,6 @@ def test_table_is_cached_and_complete():
                                        for r in admissibility_table()]
     seen = {(r.iso, r.hol) for r in table}
     assert len(seen) == len(table)
-
-
-def test_table_rows_are_the_recipe_decisions():
-    for row in admissibility_table():
-        name, _, slope = row.hol.partition("[")
-        args = [Scalar.parse(v) for v in slope.rstrip("]").split(",")] if slope else []
-        assert run_recipe(row.iso, name, *args) == row
 
 
 def test_grouped_pairs_structure():

@@ -74,7 +74,7 @@ def test_ricci_and_cyclic_residue_never_apply_the_operator(monkeypatch):
 
 
 def test_bianchi_dim_solves_each_name_once_per_process(monkeypatch, clear_caches):
-    calls = _count_calls(monkeypatch, [curvature], "bianchi_space")
+    calls = _count_calls(monkeypatch, [curvature], "_dependent_cyclic_sums")
     for _ in range(2):
         for name in CATALOG_NAMES:
             bianchi_dim(name)
@@ -140,10 +140,13 @@ def test_the_square_map_acts_once_per_basis_spinor(monkeypatch):
 
 def test_a_cold_admissibility_table_stays_within_its_work(monkeypatch, clear_caches):
     # applying t twice made 1,536 actions, and building every Bianchi
-    # basis 230 cyclic sums and 37 kernels
-    bounds = {"act": 1280, "cyclic_sum": 62, "kernel": 21, "_square_map": 16}
+    # basis 230 cyclic sums and 37 kernels; the solves, operator builds and
+    # invariant families are one per decision that needs them
+    bounds = {"act": 1280, "cyclic_sum": 62, "kernel": 21, "_square_map": 16,
+              "ricci_solver": 57, "build_rc": 28, "invariant_ricci_family": 2}
     owners = {"act": clifford, "cyclic_sum": curvature, "kernel": linalg,
-              "_square_map": structure}
+              "_square_map": structure, "ricci_solver": structure,
+              "build_rc": curvature, "invariant_ricci_family": curvature}
     calls = {name: _count_calls(monkeypatch, [owners[name]], name) for name in bounds}
     assert admissibility_table()
     counts = {name: len(seen) for name, seen in calls.items()}
