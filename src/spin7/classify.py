@@ -370,9 +370,6 @@ class _Poly:
     def __sub__(self, other) -> _Poly:
         return self + -_Poly.lift(other)
 
-    def __rsub__(self, other) -> _Poly:
-        return -self + other
-
 
 def _var(name: str) -> _Poly:
     return _Poly({(name,): ONE})

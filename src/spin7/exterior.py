@@ -76,13 +76,6 @@ class MultiVector:
     def grades(self) -> set[int]:
         return {len(k) for k in self.terms}
 
-    def grade(self) -> int:
-        """Grade of a homogeneous multivector."""
-        gs = self.grades()
-        if len(gs) > 1:
-            raise ValueError(f"mixed grades {sorted(gs)}")
-        return gs.pop() if gs else 0
-
     def coeff(self, indices: Iterable[int]) -> Scalar:
         idx = tuple(indices)
         v = self.terms.get(tuple(sorted(idx)))
@@ -109,9 +102,6 @@ class MultiVector:
         return MultiVector({k: v * f for k, v in self.terms.items()})
 
     __rmul__ = __mul__
-
-    def __truediv__(self, factor: ScalarLike) -> MultiVector:
-        return self * Scalar.coerce(factor).inverse()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultiVector):

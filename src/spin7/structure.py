@@ -16,12 +16,8 @@ square of a 3-form is t^2 = |t|^2 - 2 sigma_t (Agricola, The Srni
 lectures, arXiv:math/0606705), so S = (|t|^2 - 7|t_8|^2) - 2 sigma_t
 acts on a spinor through one 4-form.
 
-`ricci_solver` keeps what it can share: the square map S per torsion,
-in a bounded cache, and the invariant spinors with their Clifford images
-per holonomy.  `sigma_report` and
-`square_condition_holds` build the square map afresh, because they are
-called on streams of distinct torsions, where a cache would only grow
-the process.
+Only `ricci_solver` caches S; `sigma_report` meets streams of distinct
+torsions and builds it afresh.
 """
 
 from __future__ import annotations
@@ -35,6 +31,7 @@ from .clifford import (BASE_SPINOR, N_SPIN, Spinor, act, basis_spinor,
                        gamma_apply, spinor_scale)
 from .exterior import (CAYLEY, DIM, E, MultiVector, contract, form, hodge,
                        inner, norm_sq, sigma_t, wedge)
+from .liealg import invariant_spinors
 from .scalars import ZERO, Scalar, ScalarLike, add_to, dot, rational
 
 Params = Mapping[str, ScalarLike]
@@ -119,22 +116,12 @@ def contraction_identity(t: MultiVector) -> bool:
 # ---------------------------------------------------------------------------
 # spinor equations
 
-def _shift(t: MultiVector) -> Scalar:
-    """7 |t_8|^2, the eigenvalue of t^2 that the square condition asks for."""
+def _square_map(t: MultiVector, sig: MultiVector) -> dict[int, Spinor]:
+    """Column images of S = t^2 - 7|t_8|^2 = (|t|^2 - 7|t_8|^2) - 2 sigma_t,
+    given sig = sigma_t(t): one 4-form action per basis spinor."""
     small, _ = project_8_48(t)
-    return 7 * norm_sq(small)
-
-
-def _square_map(t: MultiVector, shift: Scalar) -> dict[int, Spinor]:
-    """Column images of the spinor map psi -> t^2 psi - shift psi.
-
-    The Clifford square of a 3-form is t^2 = |t|^2 - 2 sigma_t
-    (Agricola, The Srni lectures, arXiv:math/0606705), so each column is
-    one action of the 4-form -2 sigma_t plus (|t|^2 - shift) on the
-    diagonal.
-    """
-    sig = sigma_t(t) * -2
-    diag = norm_sq(t) - shift
+    diag = norm_sq(t) - 7 * norm_sq(small)
+    sig = sig * -2
     columns = {}
     for k in range(N_SPIN):
         col = act(sig, basis_spinor(k))
@@ -156,7 +143,7 @@ def sigma_report(t: MultiVector) -> dict:
     """
     sig = sigma_t(t)
     contractions = [contract(E[i], sig) for i in range(1, DIM + 1)]
-    square = _square_map(t, _shift(t))
+    square = _square_map(t, sig)
 
     def square_ok(psi: Spinor) -> bool:
         return not linalg.apply(square, psi)
@@ -177,18 +164,11 @@ def sigma_report(t: MultiVector) -> dict:
     }
 
 
-def square_condition_holds(t: MultiVector, spinors: list[Spinor]) -> bool:
-    """First torsion equation: t^2 psi = 7 |t_8|^2 psi on given spinors."""
-    square = _square_map(t, _shift(t))
-    return not any(linalg.apply(square, psi) for psi in spinors)
-
-
 @lru_cache(maxsize=None)
 def _spinor_frames(
         h: tuple[MultiVector, ...]) -> tuple[tuple[Spinor, tuple[Spinor, ...], Scalar], ...]:
     """Per h-invariant spinor psi: psi, its Clifford images e_1 psi, ...,
     e_8 psi, and 1 / (-4 |psi|^2).  They depend on h alone."""
-    from .liealg import invariant_spinors
     frames = []
     for psi in invariant_spinors(list(h)):
         images = tuple(gamma_apply(j, psi) for j in range(1, DIM + 1))
@@ -201,7 +181,7 @@ def _torsion_square(t: MultiVector) -> dict[int, Spinor]:
     """The square map of t, shared by every candidate holonomy solved
     against the same torsion.  Bounded: one classification pass meets 22
     torsions."""
-    return _square_map(t, _shift(t))
+    return _square_map(t, sigma_t(t))
 
 
 def ricci_solver(t: MultiVector, h: list[MultiVector]) -> Optional[Ricci]:
@@ -227,9 +207,7 @@ def ricci_solver(t: MultiVector, h: list[MultiVector]) -> Optional[Ricci]:
     several candidate holonomies, so the work is kept on both sides: S per
     torsion (`_torsion_square`, bounded) and the invariant spinors with
     their Clifford images per holonomy (`_spinor_frames`).  Both are
-    shared between callers and never modified.  `sigma_report` keeps no
-    cache: it meets a stream of distinct torsions, which one would only
-    hold in memory.
+    shared between callers and never modified.
     """
     frames = _spinor_frames(tuple(h))
     square = _torsion_square(t)

@@ -108,18 +108,16 @@ def _parse_diag(raw: list) -> list[Scalar]:
 # ---------------------------------------------------------------------------
 # random sampling helpers
 
-def random_form(rng: random.Random, grade: int, spread: int = 5,
-                terms: int | None = None) -> MultiVector:
+_SPREAD = 5  # sampled coefficients lie in [-_SPREAD, _SPREAD]
+
+
+def random_form(rng: random.Random, grade: int, terms: int) -> MultiVector:
     """Random exact form; terms bounds the support to keep the Clifford
     arithmetic affordable over many samples."""
     pool = monomials(grade)
-    if terms is None:
-        picked = list(pool)
-    else:
-        picked = rng.sample(pool, min(terms, len(pool)))
     out = MultiVector()
-    for idx in picked:
-        c = rng.randint(-spread, spread)
+    for idx in rng.sample(pool, min(terms, len(pool))):
+        c = rng.randint(-_SPREAD, _SPREAD)
         if c:
             out = out + MultiVector.monomial(idx) * c
     if out.is_zero:
@@ -127,10 +125,10 @@ def random_form(rng: random.Random, grade: int, spread: int = 5,
     return out
 
 
-def random_kernel_form(rng: random.Random, spread: int = 5) -> MultiVector:
+def random_kernel_form(rng: random.Random) -> MultiVector:
     out = MultiVector()
     for w in SPIN7_BASIS:
-        c = rng.randint(-spread, spread)
+        c = rng.randint(-_SPREAD, _SPREAD)
         if c:
             out = out + w * c
     return out

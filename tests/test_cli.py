@@ -1,3 +1,4 @@
+import argparse
 import copy
 import json
 import subprocess
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from spin7 import cli, verification
 from spin7.cli import dispatch
-from spin7.classify import admissible_pairs
+from spin7.classify import RECONSTRUCTION_EXAMPLES, admissible_pairs
 from spin7.verification import SuiteReport
 
 # jsonschema is the oracle for the package's own schema check
@@ -275,6 +276,27 @@ def _base_envelopes() -> tuple:
 
 def test_the_shipped_schema_is_a_2020_12_schema():
     jsonschema.Draft202012Validator.check_schema(SCHEMA)
+
+
+def _assert_names_agree():
+    """The subcommands and the reconstruct examples, each listed by the
+    parser, by the code that runs them and by the schema."""
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    example = next(a for a in sub.choices["reconstruct"]._actions if a.dest == "example")
+    commands = SCHEMA["properties"]["command"]["enum"]
+    examples = SCHEMA["$defs"]["reconstruct"]["properties"]["example"]["enum"]
+    assert set(sub.choices) == set(cli._HANDLERS) == set(commands)
+    assert set(example.choices) == set(RECONSTRUCTION_EXAMPLES) == set(examples)
+
+
+def test_commands_and_examples_are_named_alike_in_parser_code_and_schema(monkeypatch):
+    _assert_names_agree()
+    for table, key in ((cli._HANDLERS, "extra"), (RECONSTRUCTION_EXAMPLES, "3")):
+        with monkeypatch.context() as mp:
+            mp.setitem(table, key, None)
+            with pytest.raises(AssertionError):
+                _assert_names_agree()
 
 
 def test_every_base_envelope_passes_both_checks():

@@ -38,8 +38,8 @@ from spin7.clifford import (N_SPIN, act, basis_spinor, gamma_apply,
 from spin7.curvature import (CASES, CurvatureTensor, build_rc, case_family,
                              case_weights, cyclic_residue, dyad,
                              vanishing_constraints)
-from spin7.exterior import (DIM, E, MultiVector, evaluate, form, inner,
-                            monomials, norm_sq, sigma_t)
+from spin7.exterior import (CAYLEY, DIM, E, MultiVector, evaluate, form, hodge,
+                            inner, monomials, norm_sq, sigma_t, wedge)
 from spin7.liealg import (CATALOG_NAMES, SPIN7_BASIS, act_on_form, algebra,
                           algebra_by_label, bracket, express,
                           invariant_spinors, rotation)
@@ -410,6 +410,16 @@ def test_s2_kernels_span_the_row_built_spaces_of_the_catalog():
 # ---------------------------------------------------------------------------
 # the torsion square: the 3-form applied twice against one action of sigma_t
 
+def ref_shift(t: MultiVector) -> Scalar:
+    """7|t_8|^2 = sum_i <t, *(e_i ^ Phi)>^2, the eight 3-forms *(e_i ^ Phi)
+    being pairwise orthogonal of norm squared 7."""
+    total = ZERO
+    for i in range(1, DIM + 1):
+        c = inner(t, hodge(wedge(E[i], CAYLEY)))
+        total = total + c * c
+    return total
+
+
 def ref_square_map(t: MultiVector, shift: Scalar) -> dict:
     """Column images of psi -> t^2 psi - shift psi, t applied twice."""
     columns = {}
@@ -431,10 +441,9 @@ square_torsions = st.one_of(*[
 
 
 @settings(deadline=None, max_examples=40)
-@given(square_torsions, st.one_of(st.none(), coeffs))
-def test_square_map_is_the_3_form_applied_twice(t, shift):
-    shift = structure._shift(t) if shift is None else shift
-    new, ref = structure._square_map(t, shift), ref_square_map(t, shift)
+@given(square_torsions)
+def test_square_map_is_the_3_form_applied_twice(t):
+    new, ref = structure._square_map(t, sigma_t(t)), ref_square_map(t, ref_shift(t))
     assert list(new) == list(ref)
     for k, col in ref.items():
         assert new[k] == col, k
@@ -459,7 +468,7 @@ def test_the_square_of_a_3_form_is_its_norm_minus_twice_sigma_t():
 
 def dense_ricci_solver(t, h):
     spinors = invariant_spinors(h)
-    square = ref_square_map(t, structure._shift(t))
+    square = ref_square_map(t, ref_shift(t))
     if any(linalg.apply(square, psi) for psi in spinors):
         return None
 
@@ -497,7 +506,7 @@ def rows_ricci_solver(t, h):
     """The solve as it was built: one row per spinor slot, basis vector
     e_k and invariant spinor, eliminated by `linalg.solve`."""
     spinors = invariant_spinors(h)
-    square = ref_square_map(t, structure._shift(t))
+    square = ref_square_map(t, ref_shift(t))
     if any(linalg.apply(square, psi) for psi in spinors):
         return None
 
@@ -606,7 +615,7 @@ def _read_off_residuals(t, h):
     """The Ricci map read off the first invariant spinor, and the 1-based
     numbers of the invariant spinors on which its residual is nonzero."""
     spinors = invariant_spinors(h)
-    square = ref_square_map(t, structure._shift(t))
+    square = ref_square_map(t, ref_shift(t))
     images = [[gamma_apply(j, psi) for j in range(1, DIM + 1)] for psi in spinors]
     scale = (-4 * dot(spinors[0], spinors[0])).inverse()
     ric = {}
@@ -636,7 +645,8 @@ def test_ricci_solver_agrees_on_an_inconsistent_solve():
     for label, failing in (("so3diag", [2, 4]), ("t1[1,1]", [3, 4, 7, 8]),
                            ("t1tilde[1,1]", [3, 4])):
         _, h = algebra_by_label(label)
-        assert structure.square_condition_holds(t, invariant_spinors(h))
+        assert not any(linalg.apply(structure._torsion_square(t), psi)
+                       for psi in invariant_spinors(h))
         ric, bad = _read_off_residuals(t, h)
         assert ric and bad == failing, label
         assert dense_ricci_solver(t, h) is None and rows_ricci_solver(t, h) is None

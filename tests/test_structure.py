@@ -4,16 +4,14 @@ import pytest
 
 from spin7 import structure
 from spin7.classify import _ROWS, _family_with
-from spin7.clifford import BASE_SPINOR, basis_spinor
 from spin7.exterior import (CAYLEY, E, MultiVector, contract, form, inner,
-                            monomials, norm_sq)
+                            monomials, norm_sq, sigma_t)
 from spin7.liealg import algebra
 from spin7.scalars import Scalar, rational
 from spin7.structure import (FAMILIES, contraction_identity, diagonal,
                              is_diagonal, lee_form, lee_norm_identity,
                              project_8_48, ricci_solver, scal_pair,
-                             sigma_report,
-                             square_condition_holds, w_class)
+                             sigma_report, w_class)
 
 
 def _random_3form(rng, terms=8):
@@ -75,8 +73,8 @@ def test_family_torsion_satisfies_base_identity():
     rep = sigma_report(t)
     assert rep["base_identity"]
     assert sum(rep["basis_identity"]) == 4
-    assert square_condition_holds(t, [BASE_SPINOR])
-    assert not square_condition_holds(t, [basis_spinor(2)])
+    assert rep["base_square"]
+    assert not rep["basis_square"][2]
 
 
 def test_ricci_solver_reproduces_closed_forms():
@@ -97,7 +95,7 @@ def test_ricci_solver_leaves_the_cached_square_map_as_it_was(clear_caches):
     t = FAMILIES["5.3-I"].torsion({"a1": 1, "a2": 2, "b1": 3})
     square = structure._torsion_square(t)
     snapshot = {k: dict(col) for k, col in square.items()}
-    assert square == structure._square_map(t, structure._shift(t))
+    assert square == structure._square_map(t, sigma_t(t))
     for name in ("u2", "su2", "t2", "zero", "g2", "spin7"):
         ricci_solver(t, algebra(name))
     assert structure._torsion_square(t) is square
@@ -105,14 +103,13 @@ def test_ricci_solver_leaves_the_cached_square_map_as_it_was(clear_caches):
 
 
 def test_sigma_report_and_square_condition_cache_no_torsion(clear_caches):
-    # they meet streams of distinct torsions, which a cache would only hold
+    # sigma_report meets streams of distinct torsions, which a cache would only hold
     ricci_solver(FAMILIES["5.4"].torsion({"b1": 1}), algebra("su2"))
     before = structure._torsion_square.cache_info().currsize
     rng = random.Random(13)
     for _ in range(3):
         t = _random_3form(rng)
         sigma_report(t)
-        square_condition_holds(t, [BASE_SPINOR])
     assert structure._torsion_square.cache_info().currsize == before == 1
 
 

@@ -1,7 +1,7 @@
 """Deterministic work counts on one curvature case, the Bianchi dimensions,
 the rows of the invariant Ricci family, the spinor solve, the torsion
-square map, the work that admissibility decisions share, a cold
-admissibility table and one rebuilt Lie algebra.
+square map, one sigma report, the work that admissibility decisions
+share, a cold admissibility table and one rebuilt Lie algebra.
 
 Call counts, unlike timers, are free of noise, so a change that brings
 back redundant work fails here.  Each counted function is wrapped in
@@ -132,10 +132,19 @@ def test_decisions_sharing_a_witness_square_it_once(monkeypatch, clear_caches):
 
 def test_the_square_map_acts_once_per_basis_spinor(monkeypatch):
     t = case_family(CASE, PARAMS).torsion(PARAMS)
+    sig = exterior.sigma_t(t)
     calls = _count_calls(monkeypatch, [clifford], "act")
-    assert structure._square_map(t, structure._shift(t))
+    assert structure._square_map(t, sig)
     # one action of sigma_t per column; applying t twice made 32
     assert len(calls) == clifford.N_SPIN
+
+
+def test_a_sigma_report_computes_sigma_t_once(monkeypatch):
+    t = case_family(CASE, PARAMS).torsion(PARAMS)
+    calls = _count_calls(monkeypatch, [exterior], "sigma_t")
+    assert structure.sigma_report(t)
+    # the eight contractions and the square map share one sigma_t
+    assert len(calls) == 1
 
 
 def test_a_cold_admissibility_table_stays_within_its_work(monkeypatch, clear_caches):
