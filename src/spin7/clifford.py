@@ -3,8 +3,10 @@
 The eight generators square to -1, pairwise anticommute, and act by signed
 permutations of a fixed orthonormal spinor basis s_0, ..., s_15, so every
 application is index shuffling with signs and stays exact.  A k-form acts
-through the ascending product of its generators, one monomial at a time,
-with no combinatorial prefactor.
+through the ascending product of its generators with no combinatorial
+prefactor; that product is itself one signed permutation, composed once
+per monomial and kept, so each monomial moves the spinor entries in a
+single pass.
 
 A spinor is a sparse map from basis index to coefficient that stores no
 zero, so the zero spinor is the empty dict; sums go through
@@ -17,7 +19,9 @@ of spin(7) singled out in the Lie-algebra module.
 
 from __future__ import annotations
 
-from .exterior import DIM, MultiVector
+from functools import lru_cache
+
+from .exterior import DIM, Index, MultiVector
 from .scalars import Scalar, ScalarLike, add_to
 
 N_SPIN = 16
@@ -84,15 +88,29 @@ def gamma_apply(i: int, spinor: Spinor) -> Spinor:
     return out
 
 
+@lru_cache(maxsize=1 << DIM)
+def _monomial_action(idx: Index) -> tuple[tuple[int, ...], tuple[bool, ...]]:
+    """The ascending generator product e_idx as one signed permutation:
+    (perm, flip) with e_idx s_k = -s_perm[k] if flip[k] else s_perm[k]."""
+    perm, flip = [], []
+    for k in range(N_SPIN):
+        p, negative = k, False
+        for i in reversed(idx):
+            negative ^= _SIGN[i][p] < 0
+            p = _PERM[i][p]
+        perm.append(p)
+        flip.append(negative)
+    return tuple(perm), tuple(flip)
+
+
 def act(a: MultiVector, spinor: Spinor) -> Spinor:
-    """Clifford action of a form: ascending generator product per monomial."""
+    """Clifford action of a form: one signed permutation per monomial."""
     total: Spinor = {}
     for idx, coeff in a.terms.items():
-        part = spinor
-        for i in reversed(idx):
-            part = gamma_apply(i, part)
-        for k, v in part.items():
-            add_to(total, k, v * coeff)
+        perm, flip = _monomial_action(idx)
+        minus = -coeff
+        for k, v in spinor.items():
+            add_to(total, perm[k], v * (minus if flip[k] else coeff))
     return total
 
 

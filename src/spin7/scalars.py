@@ -21,6 +21,14 @@ ScalarLike = Union["Scalar", int, Fraction]
 _F0 = Fraction(0)
 
 
+def _fraction(x: RationalLike) -> Fraction:
+    """x as a Fraction; only ints (bools included) and Fractions are exact
+    rationals, so a float or a string is a TypeError."""
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"cannot interpret {x!r} as a rational")
+    return Fraction(x)
+
+
 class Scalar:
     """An element a + b*sqrt3 + c*sqrt5 + d*sqrt15 of Q(sqrt3, sqrt5)."""
 
@@ -28,10 +36,10 @@ class Scalar:
 
     def __init__(self, a: RationalLike = 0, b: RationalLike = 0,
                  c: RationalLike = 0, d: RationalLike = 0) -> None:
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-        self.c = Fraction(c)
-        self.d = Fraction(d)
+        self.a = _fraction(a)
+        self.b = _fraction(b)
+        self.c = _fraction(c)
+        self.d = _fraction(d)
 
     @classmethod
     def _of(cls, a: Fraction, b: Fraction = _F0, c: Fraction = _F0,
@@ -57,6 +65,9 @@ class Scalar:
     @property
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0 and self.c == 0 and self.d == 0
+
+    def __bool__(self) -> bool:
+        return not self.is_zero
 
     def rational_part(self) -> Fraction:
         if not self.is_rational:
@@ -87,7 +98,9 @@ class Scalar:
         return Scalar.coerce(other) - self
 
     def __neg__(self) -> Scalar:
-        return Scalar._of(-self.a, -self.b, -self.c, -self.d)
+        if self.b or self.c or self.d:
+            return Scalar._of(-self.a, -self.b, -self.c, -self.d)
+        return Scalar._of(-self.a)
 
     def __mul__(self, other: ScalarLike) -> Scalar:
         if isinstance(other, Scalar):
@@ -279,7 +292,7 @@ SQRT15 = Scalar(0, 0, 0, 1)
 
 
 def rational(p: RationalLike, q: RationalLike = 1) -> Scalar:
-    return Scalar(Fraction(p) / Fraction(q))
+    return Scalar(_fraction(p) / _fraction(q))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 import random
 
-from spin7.clifford import (BASE_SPINOR, N_SPIN, act, basis_spinor,
-                            gamma_apply, spinor_add, spinor_scale, spinor_sub)
-from spin7.exterior import CAYLEY, DIM, form
+from spin7.clifford import (BASE_SPINOR, N_SPIN, _monomial_action, act,
+                            basis_spinor, gamma_apply, spinor_add,
+                            spinor_scale, spinor_sub)
+from spin7.exterior import CAYLEY, DIM, form, monomials
 from spin7.liealg import CATALOG_NAMES, algebra, invariant_spinors
 from spin7.scalars import SQRT3, ZERO, Scalar, dot, rational
 
@@ -59,6 +60,17 @@ def test_form_action_composes_generator_actions():
         gamma_apply(1, gamma_apply(3, gamma_apply(5, s))),
         spinor_scale(gamma_apply(2, s), Scalar(2)))
     assert mixed == by_hand
+
+
+def test_each_monomial_permutation_squares_to_its_sign():
+    # (e_i1 ... e_ik)^2 = (-1)^(k(k-1)/2) (-1)^k: k(k-1)/2 swaps, k squares
+    for grade in range(DIM + 1):
+        want = (-1) ** (grade * (grade + 1) // 2)
+        for idx in monomials(grade):
+            perm, flip = _monomial_action(idx)
+            for k in range(N_SPIN):
+                assert perm[perm[k]] == k, (idx, k)
+                assert (-1) ** (flip[k] + flip[perm[k]]) == want, (idx, k)
 
 
 def test_base_spinor_is_calibrated():

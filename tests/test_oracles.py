@@ -10,7 +10,9 @@ parsers of scalar and form strings are kept the same way, and so is the
 renumbering of the monomials of a grade as 0..C(8, k)-1 that the linear
 algebra once ran on.  The square map of a torsion, now one action of
 sigma_t per spinor, is checked against the 3-form applied twice, and the
-oracle solves below build their square map that way.  The Ricci tensors
+oracle solves below build their square map that way.  The Clifford
+action of a form, one signed permutation per monomial, is checked
+against the generator-by-generator product it replaced.  The Ricci tensors
 are checked against the dense symmetric 8x8 matrices they were, the
 spinor solve against its run over int-renumbered unknowns, against the
 row elimination that the read-off from one invariant spinor replaced
@@ -460,6 +462,48 @@ def test_the_square_of_a_3_form_is_its_norm_minus_twice_sigma_t():
             for s, v in act(sig, psi).items():
                 add_to(want, s, -2 * v)
             assert act(t, act(t, psi)) == want, (t, k)
+
+
+# ---------------------------------------------------------------------------
+# the Clifford action: one signed permutation per monomial against the
+# generator-by-generator product it replaced
+
+def ref_act(a: MultiVector, spinor: dict) -> dict:
+    """Each monomial applied one generator at a time, right to left."""
+    total: dict = {}
+    for idx, coeff in a.terms.items():
+        part = spinor
+        for i in reversed(idx):
+            part = gamma_apply(i, part)
+        for k, v in part.items():
+            add_to(total, k, v * coeff)
+    return total
+
+
+ALL_MONOMIALS = [idx for grade in range(DIM + 1) for idx in monomials(grade)]
+
+
+def test_every_monomial_acts_as_its_generator_product():
+    for idx in ALL_MONOMIALS:
+        for coeff in (ONE, -SQRT3):
+            a = MultiVector({idx: coeff})
+            for k in range(N_SPIN):
+                psi = basis_spinor(k)
+                assert list(act(a, psi).items()) == list(ref_act(a, psi).items()), (idx, k)
+
+
+_IRRATIONAL = _SURDS + [-v for v in _SURDS]
+field_forms = st.dictionaries(st.sampled_from(ALL_MONOMIALS),
+                              st.sampled_from(_IRRATIONAL + _VALUES),
+                              max_size=24).map(MultiVector)
+field_spinors = st.dictionaries(st.integers(0, N_SPIN - 1),
+                                st.sampled_from(_IRRATIONAL + _VALUES), max_size=N_SPIN)
+
+
+@settings(deadline=None, max_examples=80)
+@given(field_forms, field_spinors)
+def test_act_is_the_generator_product_on_field_coefficients(a, psi):
+    assert list(act(a, psi).items()) == list(ref_act(a, psi).items())
 
 
 # ---------------------------------------------------------------------------

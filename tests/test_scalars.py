@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from spin7.scalars import SQRT3, SQRT5, SQRT15, Scalar, rational
+from spin7.scalars import SQRT3, SQRT5, SQRT15, ZERO, Scalar, rational
 
 
 def test_square_roots_multiply_into_the_field():
@@ -92,3 +92,29 @@ def test_exact_sign_determination():
     with pytest.raises(TypeError):
         SQRT3 < "2"
     assert 1 < SQRT3 < Fraction(7, 4) and SQRT3 >= SQRT3
+
+
+def test_truth_is_being_nonzero():
+    assert not Scalar(0) and not ZERO and not SQRT3 - SQRT3
+    assert Scalar(1) and SQRT5 and rational(-1, 2) and Scalar(0, 0, 0, 1)
+    assert bool(Scalar(0)) is bool(Fraction(0)) is False
+
+
+@pytest.mark.parametrize("value", [0.1, 0.5, 2.0, "1/2", "3", None, 1j])
+def test_only_ints_and_fractions_construct_scalars(value):
+    with pytest.raises(TypeError):
+        Scalar(value)
+    with pytest.raises(TypeError):
+        Scalar(0, 0, 0, value)
+    with pytest.raises(TypeError):
+        rational(value)
+    with pytest.raises(TypeError):
+        rational(1, value)
+    with pytest.raises(TypeError):
+        Scalar.coerce(value)
+
+
+def test_ints_bools_and_fractions_still_construct_scalars():
+    assert Scalar(True) == Scalar(1) and Scalar(False, True) == SQRT3
+    assert Scalar(Fraction(1, 3), 2) == rational(1, 3) + 2 * SQRT3
+    assert rational(True, 2) == rational(Fraction(3, 2), 3) == Scalar(Fraction(1, 2))

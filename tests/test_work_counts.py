@@ -1,7 +1,8 @@
 """Deterministic work counts on one curvature case, the Bianchi dimensions,
-the rows of the invariant Ricci family, the spinor solve, the torsion
-square map, one sigma report, the work that admissibility decisions
-share, a cold admissibility table and one rebuilt Lie algebra.
+the rows of the invariant Ricci family, the spinor solve, the Clifford
+action, the torsion square map, one sigma report, the work that
+admissibility decisions share, a cold admissibility table and one rebuilt
+Lie algebra.
 
 Call counts, unlike timers, are free of noise, so a change that brings
 back redundant work fails here.  Each counted function is wrapped in
@@ -137,6 +138,18 @@ def test_the_square_map_acts_once_per_basis_spinor(monkeypatch):
     assert structure._square_map(t, sig)
     # one action of sigma_t per column; applying t twice made 32
     assert len(calls) == clifford.N_SPIN
+
+
+def test_act_moves_each_monomial_by_one_cached_permutation(monkeypatch, clear_caches):
+    a = case_family(CASE, PARAMS).torsion(PARAMS) + exterior.CAYLEY
+    psi = {k: SQRT3 + k for k in range(clifford.N_SPIN)}
+    calls = _count_calls(monkeypatch, [clifford], "gamma_apply")
+    for _ in range(2):
+        assert clifford.act(a, psi)
+    # no generator is applied one at a time, and each permutation is
+    # composed on first use only
+    assert calls == []
+    assert clifford._monomial_action.cache_info().misses == len(a.terms)
 
 
 def test_a_sigma_report_computes_sigma_t_once(monkeypatch):
