@@ -69,11 +69,6 @@ class Scalar:
     def __bool__(self) -> bool:
         return not self.is_zero
 
-    def rational_part(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError(f"{self} is not rational")
-        return self.a
-
     def __add__(self, other: ScalarLike) -> Scalar:
         if isinstance(other, Scalar):
             if self.b or self.c or self.d or other.b or other.c or other.d:

@@ -3,9 +3,8 @@
 The 3-forms on R^8 split into an 8-dimensional piece, spanned by the
 duals of vector wedges with the base form, and a 48-dimensional piece
 killed by wedging with it.  Everything in this module is driven by that
-splitting: the Lee 1-form, the four structure classes, the two scalar
-curvatures, and the spinor equations that determine the Ricci tensor of
-the torsion connection.
+splitting: the Lee 1-form, the two scalar curvatures, and the spinor
+equations that determine the Ricci tensor of the torsion connection.
 
 The torsion families of the classification live here as well,
 as TorsionFamily records mapping parameter values to exact 3-forms and
@@ -16,8 +15,10 @@ square of a 3-form is t^2 = |t|^2 - 2 sigma_t (Agricola, The Srni
 lectures, arXiv:math/0606705), so S = (|t|^2 - 7|t_8|^2) - 2 sigma_t
 acts on a spinor through one 4-form.
 
-Only `ricci_solver` caches S; `sigma_report` meets streams of distinct
-torsions and builds it afresh.
+`ricci_solver` caches S per torsion; `sigma_report` meets streams of
+distinct torsions and builds S afresh.  The splitting keeps only the last
+torsion it met, so the square map, `scal_pair` and `lee_norm_identity`
+project one torsion once between them.
 """
 
 from __future__ import annotations
@@ -55,8 +56,15 @@ def _vector_type_basis() -> tuple[MultiVector, ...]:
     return basis
 
 
+@lru_cache(maxsize=1)
 def project_8_48(t: MultiVector) -> tuple[MultiVector, MultiVector]:
-    """Split a 3-form into its vector-type and 48-type components."""
+    """Split a 3-form into its vector-type and 48-type components.
+
+    Only the last split is kept: the callers that read one torsion run one
+    after another, while a stream of distinct torsions finds no hit, so
+    every new torsion runs the wedge test.  The parts are shared between
+    callers and never modified.
+    """
     if t.grades() - {3}:
         raise ValueError("expected a 3-form")
     small = MultiVector()
@@ -71,18 +79,6 @@ def project_8_48(t: MultiVector) -> tuple[MultiVector, MultiVector]:
 def lee_form(t: MultiVector) -> MultiVector:
     """The 1-form (6/7) * (base form ^ t) steering the W2 class."""
     return hodge(wedge(CAYLEY, t)) * rational(6, 7)
-
-
-def w_class(t: MultiVector) -> str:
-    """Structure class of a torsion form: W0, W1, W2 or the mixed W."""
-    small, big = project_8_48(t)
-    if small.is_zero and big.is_zero:
-        return "W0"
-    if big.is_zero:
-        return "W2"
-    if small.is_zero:
-        return "W1"
-    return "W"
 
 
 def scal_pair(t: MultiVector) -> tuple[Scalar, Scalar]:

@@ -11,7 +11,20 @@ from spin7.scalars import Scalar, rational
 from spin7.structure import (FAMILIES, contraction_identity, diagonal,
                              is_diagonal, lee_form, lee_norm_identity,
                              project_8_48, ricci_solver, scal_pair,
-                             sigma_report, w_class)
+                             sigma_report)
+
+
+def w_class(t: MultiVector) -> str:
+    """Structure class of a torsion form, read off the splitting: W0, W1
+    (48-type), W2 (vector type) or the mixed W."""
+    small, big = project_8_48(t)
+    if small.is_zero and big.is_zero:
+        return "W0"
+    if big.is_zero:
+        return "W2"
+    if small.is_zero:
+        return "W1"
+    return "W"
 
 
 def _random_3form(rng, terms=8):
@@ -103,7 +116,8 @@ def test_ricci_solver_leaves_the_cached_square_map_as_it_was(clear_caches):
 
 
 def test_sigma_report_and_square_condition_cache_no_torsion(clear_caches):
-    # sigma_report meets streams of distinct torsions, which a cache would only hold
+    # sigma_report meets streams of distinct torsions: the square map is
+    # built afresh, and the splitting keeps the last torsion only
     ricci_solver(FAMILIES["5.4"].torsion({"b1": 1}), algebra("su2"))
     before = structure._torsion_square.cache_info().currsize
     rng = random.Random(13)
@@ -111,6 +125,8 @@ def test_sigma_report_and_square_condition_cache_no_torsion(clear_caches):
         t = _random_3form(rng)
         sigma_report(t)
     assert structure._torsion_square.cache_info().currsize == before == 1
+    split = project_8_48.cache_info()
+    assert split.maxsize == 1 and split.currsize <= 1
 
 
 def test_the_torsion_cache_is_bounded_and_holds_every_witness():

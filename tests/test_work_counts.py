@@ -1,7 +1,8 @@
 """Deterministic work counts on one curvature case, the Bianchi dimensions,
 the rows of the invariant Ricci family, the spinor solve, the Clifford
-action, the torsion square map, one sigma report, the work that
-admissibility decisions share, a cold admissibility table and one rebuilt
+action, the torsion square map, one sigma report, the 8 + 48 splitting
+shared by the readers of one torsion, the work that admissibility
+decisions share, a cold admissibility table and one rebuilt
 Lie algebra.
 
 Call counts, unlike timers, are free of noise, so a change that brings
@@ -12,6 +13,7 @@ name into another module is counted too.
 
 import ast
 import importlib
+import random
 import sys
 from pathlib import Path
 
@@ -25,7 +27,8 @@ from spin7.curvature import (CurvatureTensor, bianchi_dim, build_rc, case_family
                              cyclic_residue, invariant_ricci_family)
 from spin7.liealg import CATALOG_NAMES, algebra
 from spin7.scalars import SQRT3, rational
-from spin7.structure import FAMILIES, ricci_solver
+from spin7.structure import (FAMILIES, lee_norm_identity, project_8_48,
+                             ricci_solver, scal_pair, sigma_report)
 
 CASE = "5.3.1-I"
 PARAMS = {"a1": 1, "a2": 2, "b1": 3}
@@ -159,6 +162,42 @@ def test_a_sigma_report_computes_sigma_t_once(monkeypatch):
     # the eight contractions and the square map share one sigma_t
     assert len(calls) == 1
 
+
+def _read_the_splitting(t):
+    """Run the three readers of a torsion's 8 + 48 parts one after another."""
+    assert sigma_report(t)
+    scal_pair(t)
+    assert lee_norm_identity(t)
+
+
+def test_the_readers_of_one_torsion_split_it_once(clear_caches):
+    _read_the_splitting(case_family(CASE, PARAMS).torsion(PARAMS))
+    info = project_8_48.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+def test_no_split_is_reused_across_torsions(clear_caches):
+    rng = random.Random(31)
+    torsions = []
+    while len(torsions) < 20:
+        t = exterior.MultiVector()
+        for idx in rng.sample(exterior.monomials(3), 6):
+            t = t + exterior.MultiVector.monomial(idx) * rng.randint(-3, 3)
+        if t.grades() == {3} and t not in torsions:
+            torsions.append(t)
+    for t in torsions:
+        _read_the_splitting(t)
+    info = project_8_48.cache_info()
+    assert (info.misses, info.hits) == (20, 40)
+
+
+def test_the_readers_leave_the_cached_split_as_it_was(clear_caches):
+    t = case_family(CASE, PARAMS).torsion(PARAMS)
+    parts = project_8_48(t)
+    snapshot = [dict(part.terms) for part in parts]
+    _read_the_splitting(t)
+    assert project_8_48(t) is parts
+    assert [part.terms for part in parts] == snapshot
 
 def test_a_cold_admissibility_table_stays_within_its_work(monkeypatch, clear_caches):
     # applying t twice made 1,536 actions, and building every Bianchi
