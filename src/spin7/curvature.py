@@ -64,9 +64,9 @@ class CurvatureTensor:
 
     def entry(self, i: int, j: int, k: int, l: int) -> Scalar:
         """The 4-tensor value on basis vectors, R(e_i, e_j, e_k, e_l)."""
-        if i == j or k == l:
+        (m, s), (n, t) = merge_sign((i,), (j,)), merge_sign((k,), (l,))
+        if not (s and t):
             return ZERO
-        (m, s), (n, t) = _pair(i, j), _pair(k, l)
         value = self.columns.get(m, {}).get(n, ZERO)
         return value if s == t else -value
 
@@ -103,11 +103,6 @@ class CurvatureTensor:
                     elif i == d and x <= c:
                         add_to(out, (x, c), v if i == a else -v)
         return {key: out[key] for key in sorted(out)}
-
-
-def _pair(i: int, j: int) -> tuple[Index, int]:
-    """Key and sign of e_i ^ e_j for i != j."""
-    return ((i, j), 1) if i < j else ((j, i), -1)
 
 
 def _commutator(r: dict[Index, linalg.Row],

@@ -15,40 +15,41 @@ sparse rows keyed by the index tuples, with no renumbering.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .scalars import Scalar, ScalarLike, add_to, dot, parse_terms
+from .scalars import ZERO, Scalar, ScalarLike, add_to, dot, parse_terms
 
 DIM = 8
 Index = tuple[int, ...]
 
 
 def merge_sign(left: Index, right: Index) -> tuple[Index, int]:
-    """Sort the concatenation of two disjoint ascending tuples.
+    """Sort the concatenation of two ascending tuples.
 
-    Returns the merged tuple and the sign of the permutation, or sign 0
-    when an index repeats.
+    Returns the sorted tuple and the sign of the sorting permutation,
+    (-1)^(number of pairs with the left index above the right one), or
+    ((), 0) when an index repeats.
     """
-    merged = []
-    sign = 1
-    i = j = 0
-    while i < len(left) and j < len(right):
-        a, b = left[i], right[j]
-        if a == b:
+    odd = 0
+    for b in right:
+        k = bisect_left(left, b)
+        if k < len(left) and left[k] == b:
             return (), 0
-        if a < b:
-            merged.append(a)
-            i += 1
-        else:
-            merged.append(b)
-            j += 1
-            if (len(left) - i) % 2:
-                sign = -sign
-    merged.extend(left[i:])
-    merged.extend(right[j:])
-    return tuple(merged), sign
+        odd += len(left) - k
+    return tuple(sorted(left + right)), -1 if odd & 1 else 1
+
+
+def _sort_sign(idx: Iterable[int]) -> tuple[Index, int]:
+    """idx sorted, merged in one index at a time, with the sign of the
+    sorting permutation; ((), 0) when an index repeats."""
+    key, sign = (), 1
+    for i in idx:
+        key, s = merge_sign(key, (i,))
+        sign *= s
+    return key, sign
 
 
 class MultiVector:
@@ -64,10 +65,11 @@ class MultiVector:
         idx = tuple(indices)
         if any(not 1 <= i <= DIM for i in idx):
             raise ValueError(f"indices out of range: {idx}")
-        if len(set(idx)) != len(idx):
+        key, sign = _sort_sign(idx)
+        if not sign:
             return cls()
         c = Scalar.coerce(coeff)
-        return cls({tuple(sorted(idx)): c if _permutation_sign(idx) > 0 else -c})
+        return cls({key: c if sign > 0 else -c})
 
     @property
     def is_zero(self) -> bool:
@@ -77,11 +79,9 @@ class MultiVector:
         return {len(k) for k in self.terms}
 
     def coeff(self, indices: Iterable[int]) -> Scalar:
-        idx = tuple(indices)
-        v = self.terms.get(tuple(sorted(idx)))
-        if v is None:
-            return Scalar(0)
-        return v if _permutation_sign(idx) > 0 else -v
+        key, sign = _sort_sign(indices)
+        v = self.terms.get(key, ZERO) if sign else ZERO
+        return v if sign >= 0 else -v
 
     def __add__(self, other: MultiVector) -> MultiVector:
         terms = dict(self.terms)
@@ -119,16 +119,6 @@ class MultiVector:
 
     def __str__(self) -> str:
         return format_form(self)
-
-
-def _permutation_sign(idx: Index) -> int:
-    sign = 1
-    idx = list(idx)
-    for i in range(len(idx)):
-        for j in range(i + 1, len(idx)):
-            if idx[i] > idx[j]:
-                sign = -sign
-    return sign
 
 
 def wedge(a: MultiVector, b: MultiVector) -> MultiVector:
@@ -186,7 +176,7 @@ def evaluate(a: MultiVector, vectors: list[MultiVector]) -> Scalar:
     out = a
     for v in vectors:
         out = contract(v, out)
-    return out.terms.get((), Scalar(0))
+    return out.terms.get((), ZERO)
 
 
 def sigma_t(t: MultiVector) -> MultiVector:

@@ -11,6 +11,7 @@ exact sign decision, so comparisons never go through floats.
 
 from __future__ import annotations
 
+import functools
 import re
 from fractions import Fraction
 from typing import Union
@@ -29,6 +30,7 @@ def _fraction(x: RationalLike) -> Fraction:
     return Fraction(x)
 
 
+@functools.total_ordering
 class Scalar:
     """An element a + b*sqrt3 + c*sqrt5 + d*sqrt15 of Q(sqrt3, sqrt5)."""
 
@@ -186,31 +188,14 @@ class Scalar:
         return hash((self.a, self.b, self.c, self.d))
 
     def sign(self) -> int:
-        """Exact sign (-1, 0, +1), decided without floating point."""
-        # view self as u + v*sqrt5 with u, v in Q(sqrt3)
-        u = (self.a, self.b)
-        v = (self.c, self.d)
-        return _sign_sqrt5(u, v)
+        """Exact sign (-1, 0, +1), decided without floating point by one
+        rule at each step of the tower Q < Q(sqrt3) < Q(sqrt3, sqrt5)."""
+        return _sign(self)
 
     def __lt__(self, other: ScalarLike) -> bool:
         if not isinstance(other, (Scalar, int, Fraction)):
             return NotImplemented
         return (self - other).sign() < 0
-
-    def __le__(self, other: ScalarLike) -> bool:
-        if not isinstance(other, (Scalar, int, Fraction)):
-            return NotImplemented
-        return (self - other).sign() <= 0
-
-    def __gt__(self, other: ScalarLike) -> bool:
-        if not isinstance(other, (Scalar, int, Fraction)):
-            return NotImplemented
-        return (self - other).sign() > 0
-
-    def __ge__(self, other: ScalarLike) -> bool:
-        if not isinstance(other, (Scalar, int, Fraction)):
-            return NotImplemented
-        return (self - other).sign() >= 0
 
     def __abs__(self) -> Scalar:
         return -self if self.sign() < 0 else self
@@ -243,39 +228,24 @@ class Scalar:
         return parse_terms(text, scalar=True).get((), ZERO)
 
 
-def _sign_fraction(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
+def _sign(x: Scalar) -> int:
+    """Sign of x = u + v*sqrt(r), with u and v one step down the tower.
 
-
-def _sign_sqrt3(u: Fraction, v: Fraction) -> int:
-    """Sign of u + v*sqrt3 for rational u, v."""
-    if v == 0:
-        return _sign_fraction(u)
-    if u == 0:
-        return _sign_fraction(v)
-    su, sv = _sign_fraction(u), _sign_fraction(v)
-    if su == sv:
-        return su
-    # compare u^2 with 3 v^2; the larger magnitude wins
-    return su if u * u > 3 * v * v else sv
-
-
-def _sign_sqrt5(u: tuple[Fraction, Fraction], v: tuple[Fraction, Fraction]) -> int:
-    """Sign of u + v*sqrt5 where u, v are elements (p, q) = p + q*sqrt3."""
-    u_zero = u[0] == 0 and u[1] == 0
-    v_zero = v[0] == 0 and v[1] == 0
-    if v_zero:
-        return _sign_sqrt3(*u)
-    if u_zero:
-        return _sign_sqrt3(*v)
-    su, sv = _sign_sqrt3(*u), _sign_sqrt3(*v)
-    if su == sv:
-        return su
-    # compare u^2 with 5 v^2 inside Q(sqrt3)
-    uu = (u[0] * u[0] + 3 * u[1] * u[1], 2 * u[0] * u[1])
-    vv = (v[0] * v[0] + 3 * v[1] * v[1], 2 * v[0] * v[1])
-    diff = (uu[0] - 5 * vv[0], uu[1] - 5 * vv[1])
-    s = _sign_sqrt3(*diff)
+    Unless u and v have opposite signs, x has the sign of whichever is
+    nonzero.  Otherwise x has the sign of the larger of u^2 and r*v^2,
+    and is zero if they are equal.  The recursion stays out of
+    `Scalar.sign`, so one call of the method is one sign decision.
+    """
+    if x.c or x.d:
+        u, v, r = Scalar._of(x.a, x.b), Scalar._of(x.c, x.d), 5
+    elif x.b:
+        u, v, r = Scalar._of(x.a), Scalar._of(x.b), 3
+    else:
+        return (x.a > 0) - (x.a < 0)
+    su, sv = _sign(u), _sign(v)
+    if su * sv >= 0:
+        return su or sv
+    s = _sign(u * u - v * v * r)
     return su if s > 0 else sv if s < 0 else 0
 
 
@@ -342,15 +312,16 @@ def parse_terms(text: str, scalar: bool = False) -> dict[tuple[int, ...], Scalar
                  | e_<distinct digits 1..8> | "(" sum ")"  -- no monomial in ( )
 
     with () keying the scalar part; a `scalar` string holds no monomial.  A
-    syntax error raises ParseError; a zero denominator raises
-    ZeroDivisionError once the whole string has parsed, so that a syntax
-    error anywhere is reported first.
+    syntax error raises ParseError at its offset.  So does the first zero
+    denominator n/0, but only once the whole string has parsed, so that a
+    syntax error anywhere is reported first.
     """
     parser = _Parser(text, scalar)
     terms = parser.sum()
     parser.expect("end")
     if parser.zero:
-        raise ZeroDivisionError(f"zero denominator in {parser.zero!r}")
+        bad, at = parser.zero
+        raise ParseError(f"zero denominator in {bad!r}", at)
     return terms
 
 
@@ -361,7 +332,7 @@ class _Parser:
 
     def __init__(self, text: str, scalar: bool) -> None:
         self.tokens: list[tuple] = []
-        self.zero = ""  # the first n/0, raised after the syntax check
+        self.zero: tuple = ()  # the first n/0 and its offset, raised last
         self.depth = int(scalar)  # a scalar string reads as if inside ( )
         self.pos = 0
         opened: list[int] = []
@@ -383,7 +354,7 @@ class _Parser:
                     raise ParseError("unbalanced ')'", at)
                 opened.pop()
             elif den and not int(den):
-                self.zero = self.zero or m.group()
+                self.zero = self.zero or (m.group(), at)
             elif num:
                 term = ((), Scalar._of(Fraction(int(num), int(den or 1))))
             self.tokens.append((kind, term, at, m.group()))

@@ -29,7 +29,7 @@ from typing import Callable, Mapping, Optional
 
 from . import linalg
 from .clifford import (BASE_SPINOR, N_SPIN, Spinor, act, basis_spinor,
-                       gamma_apply, spinor_scale)
+                       gamma_apply)
 from .exterior import (CAYLEY, DIM, E, MultiVector, contract, form, hodge,
                        inner, norm_sq, sigma_t, wedge)
 from .liealg import invariant_spinors
@@ -138,7 +138,7 @@ def sigma_report(t: MultiVector) -> dict:
     spinor and for the base spinor, so callers can compare the two.
     """
     sig = sigma_t(t)
-    contractions = [contract(E[i], sig) for i in range(1, DIM + 1)]
+    contractions = [contract(E[i], sig) * -4 for i in range(1, DIM + 1)]
     square = _square_map(t, sig)
 
     def square_ok(psi: Spinor) -> bool:
@@ -146,8 +146,7 @@ def sigma_report(t: MultiVector) -> dict:
 
     def identity_ok(psi: Spinor) -> bool:
         for i in range(1, DIM + 1):
-            lhs = spinor_scale(act(contractions[i - 1], psi), Scalar(-4))
-            if lhs != linalg.apply(square, gamma_apply(i, psi)):
+            if act(contractions[i - 1], psi) != linalg.apply(square, gamma_apply(i, psi)):
                 return False
         return True
 
