@@ -31,7 +31,8 @@ def merge_sign(left: Index, right: Index) -> tuple[Index, int]:
 
     Returns the sorted tuple and the sign of the sorting permutation,
     (-1)^(number of pairs with the left index above the right one), or
-    ((), 0) when an index repeats.
+    ((), 0) when an index repeats.  With no such pair the concatenation
+    is already sorted.
     """
     odd = 0
     for b in right:
@@ -39,7 +40,8 @@ def merge_sign(left: Index, right: Index) -> tuple[Index, int]:
         if k < len(left) and left[k] == b:
             return (), 0
         odd += len(left) - k
-    return tuple(sorted(left + right)), -1 if odd & 1 else 1
+    merged = left + right
+    return tuple(sorted(merged)) if odd else merged, -1 if odd & 1 else 1
 
 
 def _sort_sign(idx: Iterable[int]) -> tuple[Index, int]:
@@ -66,10 +68,8 @@ class MultiVector:
         if any(not 1 <= i <= DIM for i in idx):
             raise ValueError(f"indices out of range: {idx}")
         key, sign = _sort_sign(idx)
-        if not sign:
-            return cls()
         c = Scalar.coerce(coeff)
-        return cls({key: c if sign > 0 else -c})
+        return cls({key: c if sign > 0 else -c} if sign else {})
 
     @property
     def is_zero(self) -> bool:
@@ -176,7 +176,7 @@ def evaluate(a: MultiVector, vectors: list[MultiVector]) -> Scalar:
     out = a
     for v in vectors:
         out = contract(v, out)
-    return out.terms.get((), ZERO)
+    return out.terms.get((), Scalar(0))
 
 
 def sigma_t(t: MultiVector) -> MultiVector:

@@ -312,16 +312,15 @@ def parse_terms(text: str, scalar: bool = False) -> dict[tuple[int, ...], Scalar
                  | e_<distinct digits 1..8> | "(" sum ")"  -- no monomial in ( )
 
     with () keying the scalar part; a `scalar` string holds no monomial.  A
-    syntax error raises ParseError at its offset.  So does the first zero
-    denominator n/0, but only once the whole string has parsed, so that a
-    syntax error anywhere is reported first.
+    syntax error raises ParseError; a zero denominator raises
+    ZeroDivisionError once the whole string has parsed, so that a syntax
+    error anywhere is reported first.
     """
     parser = _Parser(text, scalar)
     terms = parser.sum()
     parser.expect("end")
     if parser.zero:
-        bad, at = parser.zero
-        raise ParseError(f"zero denominator in {bad!r}", at)
+        raise ZeroDivisionError(f"zero denominator in {parser.zero!r}")
     return terms
 
 
@@ -332,7 +331,7 @@ class _Parser:
 
     def __init__(self, text: str, scalar: bool) -> None:
         self.tokens: list[tuple] = []
-        self.zero: tuple = ()  # the first n/0 and its offset, raised last
+        self.zero = ""  # the first n/0, raised after the syntax check
         self.depth = int(scalar)  # a scalar string reads as if inside ( )
         self.pos = 0
         opened: list[int] = []
@@ -354,7 +353,7 @@ class _Parser:
                     raise ParseError("unbalanced ')'", at)
                 opened.pop()
             elif den and not int(den):
-                self.zero = self.zero or (m.group(), at)
+                self.zero = self.zero or m.group()
             elif num:
                 term = ((), Scalar._of(Fraction(int(num), int(den or 1))))
             self.tokens.append((kind, term, at, m.group()))

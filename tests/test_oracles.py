@@ -1143,8 +1143,10 @@ SYNTAX, ZERO_DENOMINATOR = "syntax error", "zero denominator"
 def _new_outcome(parse, text):
     try:
         return parse(text)
-    except ParseError as exc:
-        return ZERO_DENOMINATOR if str(exc).startswith("zero denominator") else SYNTAX
+    except ParseError:
+        return SYNTAX
+    except ZeroDivisionError:
+        return ZERO_DENOMINATOR
 
 
 def _ref_outcome(parse, text):
